@@ -7,7 +7,7 @@ use memtier_core::{run_scenario, Scenario, ScenarioResult};
 use memtier_des::SimTime;
 use memtier_memsim::{ObjectId, TierId};
 use memtier_workloads::{all_workloads, DataSize};
-use sparklite::{FaultPlan, SparkError, SpeculationConf};
+use sparklite::{FaultPlan, LocalityMode, NetTopology, NetworkMode, SparkError, SpeculationConf};
 
 /// Serialize a result with the scenario descriptor blanked out: a fault-free
 /// run and a zero-fault-plan run of the same workload differ *only* in
@@ -120,6 +120,47 @@ fn recovery_traffic_conserves_and_results_survive_faults() {
     let recompute: u64 = f.recovery.recompute_bytes.iter().sum();
     assert!(recompute > 0, "retries must be priced as memory traffic");
     assert!(f.recovery.recompute_bytes[TierId::NVM_NEAR.index()] > 0);
+}
+
+/// Output commit is first-committer-wins: `sort` is the one suite workload
+/// that saves to the DFS, and under a plan that fails, speculates and
+/// crashes, a second attempt of an output task meets the part file its
+/// first attempt already committed. These are the benchmark's `net-faults`
+/// scenarios, plan seeded like the data, at the seeds where that used to
+/// end the run with `dfs error: file already exists: /out/sort-…/part-…`.
+#[test]
+fn retried_output_tasks_recommit_their_part_files() {
+    for (size, seed) in [
+        (DataSize::Tiny, 2),
+        (DataSize::Tiny, 11),
+        (DataSize::Small, 42),
+    ] {
+        let clean = Scenario::default_conf("sort", size, TierId::NVM_NEAR)
+            .with_grid(3, 12)
+            .with_seed(seed)
+            .with_network(NetworkMode::Topology {
+                topology: NetTopology::new(4, 2).with_oversubscription(4.0),
+                locality: LocalityMode::DelayScheduling {
+                    wait: SimTime::from_us(500),
+                },
+            });
+        let c = run_scenario(&clean).unwrap();
+        let plan = FaultPlan::seeded(seed)
+            .with_task_failures(0.05)
+            .with_fetch_failures(0.02)
+            .with_stragglers(0.1, 4.0)
+            .with_speculation(SpeculationConf::default())
+            .with_crash(SimTime::from_secs_f64(c.elapsed_s / 2.0), 1);
+        let faulty = clean.clone().with_faults(plan);
+        let f = run_scenario(&faulty).unwrap_or_else(|e| panic!("{}: {e}", faulty.label()));
+        assert!(
+            !f.recovery.is_quiet(),
+            "{}: the plan must fire",
+            faulty.label()
+        );
+        assert_eq!(c.checksum, f.checksum, "{}", faulty.label());
+        assert_eq!(c.output_records, f.output_records, "{}", faulty.label());
+    }
 }
 
 /// Speculation earns its keep: under a heavy straggler plan, turning

@@ -275,6 +275,8 @@ struct ProfState {
     depth: Histogram,
     reshares: AtomicU64,
     flows: Histogram,
+    eta_scans: AtomicU64,
+    eta_hits: AtomicU64,
 }
 
 impl ProfState {
@@ -288,6 +290,8 @@ impl ProfState {
             depth: Histogram::new(),
             reshares: AtomicU64::new(0),
             flows: Histogram::new(),
+            eta_scans: AtomicU64::new(0),
+            eta_hits: AtomicU64::new(0),
         }
     }
 }
@@ -378,6 +382,16 @@ impl EngineProf {
         }
     }
 
+    /// Record one `SharedResource::next_completion` query over a non-empty
+    /// flow set: answered from the memo (`hit`) or by a per-flow ETA scan.
+    #[inline]
+    pub fn record_eta_query(&self, hit: bool) {
+        if let Some(s) = &self.inner {
+            let counter = if hit { &s.eta_hits } else { &s.eta_scans };
+            counter.fetch_add(1, Relaxed);
+        }
+    }
+
     /// Open a wall-time attribution scope for `phase`. Returns `None` (and
     /// never reads the clock) when disabled; bind the result to keep the
     /// scope alive: `let _t = prof.phase(ProfPhase::EventDispatch);`.
@@ -446,6 +460,8 @@ impl EngineProf {
                 flows_p50: s.flows.percentile(0.50),
                 flows_p95: s.flows.percentile(0.95),
                 flows_p99: s.flows.percentile(0.99),
+                eta_scans: s.eta_scans.load(Relaxed),
+                eta_hits: s.eta_hits.load(Relaxed),
             },
             phase_ms,
             hotspots,
@@ -495,6 +511,13 @@ pub struct ResourceStats {
     pub flows_p95: u64,
     /// Approximate 99th-percentile active-flow count per re-share.
     pub flows_p99: u64,
+    /// `next_completion` queries that walked every flow's ETA: at most one
+    /// per state change of a resource (absent in pre-memo artifacts).
+    #[serde(default)]
+    pub eta_scans: u64,
+    /// `next_completion` queries answered from the memoized last answer.
+    #[serde(default)]
+    pub eta_hits: u64,
 }
 
 /// Wall-clock engine statistics for one run — the profiling **sidecar**.
@@ -540,6 +563,15 @@ impl EngineStats {
             "{} events in {:.1} ms ({:.0} events/s, {:.0}x virtual-to-wall)",
             self.events_total, self.wall_ms, self.events_per_sec, self.speedup
         );
+        let r = &self.resource;
+        let _ = write!(
+            out,
+            "\n  {} re-shares; {} next-completion queries = {} ETA scans + {} memo hits",
+            r.reshares,
+            r.eta_scans + r.eta_hits,
+            r.eta_scans,
+            r.eta_hits
+        );
         for h in &self.hotspots {
             let _ = write!(
                 out,
@@ -565,6 +597,7 @@ mod tests {
         p.record_schedule(3);
         p.record_pop(2);
         p.record_reshare(7);
+        p.record_eta_query(true);
         assert!(p.phase(ProfPhase::EventDispatch).is_none());
         assert!(p.snapshot(1.0).is_none());
     }

@@ -17,6 +17,8 @@
 //! never on residual demands or the clock — it is cached between mutations:
 //! `advance` and `next_completion` reuse the last water-fill until an
 //! `add_flow`/`remove_flow`/`set_throttle` invalidates it (DESIGN.md §16).
+//! The `next_completion` answer is memoized the same way; it also depends on
+//! residuals and the clock, so an `advance` that drains flows clears it too.
 
 use crate::contention::ContentionModel;
 use crate::prof::{EngineProf, ProfPhase};
@@ -39,7 +41,8 @@ struct Flow {
     nominal_rate: f64,
 }
 
-/// The memoized fair-share allocation plus the water-fill's scratch space.
+/// The memoized fair-share allocation plus the water-fill's scratch space,
+/// and the memoized `next_completion` answer computed from it.
 ///
 /// Lives behind a `RefCell` so `&self` readers (`next_completion`,
 /// `current_rates`) can fill it lazily; both buffers keep their capacity
@@ -52,6 +55,19 @@ struct RateCache {
     rates: Vec<(FlowId, f64)>,
     /// Scratch for the water-fill's `(cap, id)` ordering.
     scratch: Vec<(FlowId, f64)>,
+    /// The last `next_completion` answer, `None` when stale. Its inputs are
+    /// the flow set, `rates`, every `remaining` and `last_update`, so
+    /// whatever clears `valid` clears it, and so does an `advance` over
+    /// `dt > 0` with flows present. Nothing else does.
+    eta: Option<(SimTime, FlowId)>,
+}
+
+impl RateCache {
+    /// The flow set or the throttle changed: rates and ETA are both stale.
+    fn invalidate(&mut self) {
+        self.valid = false;
+        self.eta = None;
+    }
 }
 
 /// A capacity-limited resource shared max–min-fairly among active flows.
@@ -85,7 +101,8 @@ pub struct SharedResource {
     served: f64,
     /// Integral of busy time (at least one active flow), for utilization.
     busy: SimTime,
-    /// Memoized allocation; invalidated only by flow-set/throttle mutations.
+    /// Memoized allocation (invalidated only by flow-set/throttle mutations)
+    /// and next-completion answer (also by a draining `advance`).
     cache: RefCell<RateCache>,
     /// Engine self-profiler handle (disabled by default; never affects rates).
     prof: EngineProf,
@@ -143,7 +160,7 @@ impl SharedResource {
             "throttle fraction must be in (0,1], got {fraction}"
         );
         self.throttle = fraction;
-        self.cache.get_mut().valid = false;
+        self.cache.get_mut().invalidate();
     }
 
     /// Current throttle fraction.
@@ -190,6 +207,8 @@ impl SharedResource {
                 flow.remaining -= drained;
                 self.served += drained;
             }
+            // Residuals and the clock moved; the rates did not.
+            cache.eta = None;
             self.busy += now - self.last_update;
         }
         self.last_update = now;
@@ -221,7 +240,7 @@ impl SharedResource {
                 },
             ),
         );
-        self.cache.get_mut().valid = false;
+        self.cache.get_mut().invalidate();
     }
 
     /// Remove a flow, returning its residual demand (0 if it had drained).
@@ -235,7 +254,7 @@ impl SharedResource {
             .flow_index(id)
             .unwrap_or_else(|_| panic!("removing unknown flow"));
         let (_, flow) = self.flows.remove(idx);
-        self.cache.get_mut().valid = false;
+        self.cache.get_mut().invalidate();
         if flow.remaining <= DRAIN_EPS {
             0.0
         } else {
@@ -254,12 +273,21 @@ impl SharedResource {
     /// Valid only until the next `add_flow`/`remove_flow`/`set_throttle`;
     /// after any of those the caller must re-query. Ties break on the lowest
     /// flow id, deterministically.
+    ///
+    /// Memoized: the per-flow scan runs once per state change (those three,
+    /// or an `advance` that drains flows), however many queries land in
+    /// between.
     pub fn next_completion(&self) -> Option<(SimTime, FlowId)> {
         if self.flows.is_empty() {
             return None;
         }
+        let memo = self.cache.borrow().eta;
+        self.prof.record_eta_query(memo.is_some());
+        if memo.is_some() {
+            return memo;
+        }
         self.ensure_rates();
-        let cache = self.cache.borrow();
+        let mut cache = self.cache.borrow_mut();
         let mut best: Option<(SimTime, FlowId)> = None;
         for ((id, flow), &(_, rate)) in self.flows.iter().zip(cache.rates.iter()) {
             let eta = if flow.remaining <= DRAIN_EPS {
@@ -280,6 +308,7 @@ impl SharedResource {
                 _ => {}
             }
         }
+        cache.eta = best;
         best
     }
 
@@ -333,6 +362,7 @@ impl SharedResource {
             valid,
             rates,
             scratch,
+            ..
         } = &mut *guard;
 
         // Per-flow caps after contention degradation, ascending by id.
@@ -575,6 +605,56 @@ mod tests {
         let _ = r.next_completion();
         let stats = prof.snapshot(2.0).expect("profiler enabled");
         assert_eq!(stats.resource.reshares, 3, "throttle invalidates the cache");
+    }
+
+    /// The same contract for the ETA memo: between two state changes any
+    /// number of `next_completion` reads costs one per-flow scan, and only
+    /// the four invalidators — not a same-instant or an idle `advance` —
+    /// buy another. Observed through the simprof scan/hit counters.
+    #[test]
+    fn eta_memo_scans_at_most_once_per_state_change() {
+        let prof = EngineProf::enabled();
+        let mut r = res(10.0);
+        r.set_prof(prof.clone());
+        let counts = |at: f64| {
+            let s = prof.snapshot(at).expect("profiler enabled").resource;
+            (s.eta_scans, s.eta_hits)
+        };
+
+        // Idle: no flows, nothing to scan or to remember.
+        assert_eq!(r.next_completion(), None);
+        r.advance(SimTime::from_ms(1));
+        assert_eq!(counts(0.0), (0, 0));
+
+        let t0 = SimTime::from_ms(1);
+        r.add_flow(t0, 1, 10.0, 10.0);
+        r.add_flow(t0, 2, 30.0, 10.0);
+        let first = r.next_completion();
+        for _ in 0..16 {
+            assert_eq!(r.next_completion(), first);
+            let _ = r.current_rates();
+            r.advance(t0); // same instant: residuals and clock unchanged
+        }
+        assert_eq!(counts(0.0), (1, 16), "N reads between mutations: one scan");
+
+        // A draining advance moves residuals and the clock: one more scan,
+        // and no water-fill (the rates did not change).
+        r.advance(SimTime::from_ms(500));
+        let second = r.next_completion();
+        assert_eq!(r.next_completion(), second);
+        assert_eq!(counts(0.5), (2, 17));
+        assert_eq!(prof.snapshot(0.5).unwrap().resource.reshares, 1);
+
+        // Each of the three mutations buys exactly one scan.
+        r.set_throttle(0.5);
+        let _ = (r.next_completion(), r.next_completion());
+        assert_eq!(counts(0.5), (3, 18));
+        r.remove_flow(SimTime::from_ms(500), 1);
+        let _ = (r.next_completion(), r.next_completion());
+        assert_eq!(counts(0.5), (4, 19));
+        r.add_flow(SimTime::from_ms(500), 3, 1.0, 1.0);
+        let _ = (r.next_completion(), r.next_completion());
+        assert_eq!(counts(0.5), (5, 20));
     }
 
     /// The cached allocation is bit-identical to an uncached recompute: a

@@ -19,6 +19,22 @@ const PS_PER_MS: u64 = 1_000_000_000;
 /// Picoseconds per second.
 const PS_PER_S: u64 = 1_000_000_000_000;
 
+/// `x.round() as u64` (half away from zero, saturating) without the call:
+/// on baseline x86-64 `f64::round` is a software routine, not an
+/// instruction, and `SharedResource::next_completion` converts one ETA per
+/// flow through here.
+///
+/// `x as u64` truncates and saturates. Below `2^53` the truncation converts
+/// back exactly and `x - trunc` is exactly representable, so comparing it
+/// with one half decides as `round` does; from `2^53` up `x` is an integer
+/// and the fraction is zero. Past `2^64` the add must not wrap. NaN and
+/// negative inputs give 0 either way.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    let trunc = x as u64;
+    trunc.saturating_add(u64::from(x - trunc as f64 >= 0.5))
+}
+
 /// An instant (or span) of virtual time, in picoseconds.
 ///
 /// `SimTime` doubles as a duration type: subtracting two instants yields a
@@ -66,7 +82,7 @@ impl SimTime {
         if !ns.is_finite() || ns <= 0.0 {
             return SimTime::ZERO;
         }
-        SimTime((ns * PS_PER_NS as f64).round() as u64)
+        SimTime(round_to_u64(ns * PS_PER_NS as f64))
     }
 
     /// Construct from whole microseconds.
@@ -100,7 +116,7 @@ impl SimTime {
         if ps >= u64::MAX as f64 {
             SimTime::MAX
         } else {
-            SimTime(ps.round() as u64)
+            SimTime(round_to_u64(ps))
         }
     }
 
@@ -159,7 +175,7 @@ impl SimTime {
         if ps >= u64::MAX as f64 {
             SimTime::MAX
         } else {
-            SimTime(ps.round() as u64)
+            SimTime(round_to_u64(ps))
         }
     }
 

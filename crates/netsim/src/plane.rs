@@ -160,6 +160,9 @@ impl NetworkPlane {
     /// on that link re-share; the caller just re-queries). Ties process in
     /// ascending (link index, transfer id) order, deterministically.
     pub fn step(&mut self, at: SimTime) -> Option<TransferDone> {
+        // The same all-links search `next_event_time` just made: every link
+        // is as that call left it, so each query is a memo hit in
+        // `SharedResource`, not a rescan — the plane keeps no cache itself.
         let mut best: Option<(SimTime, usize, u64)> = None;
         for (i, l) in self.links.iter().enumerate() {
             if let Some((t, f)) = l.next_completion() {
@@ -169,10 +172,10 @@ impl NetworkPlane {
             }
         }
         let (t, li, id) = best.expect("step with no flows in flight");
-        debug_assert!(t <= at, "stepping past the next drain event");
+        assert!(t <= at, "stepping past the next drain event");
         self.advance(at);
         let residual = self.links[li].remove_flow(at, id);
-        debug_assert_eq!(residual, 0.0, "stepped flow must have drained");
+        assert_eq!(residual, 0.0, "stepped flow must have drained");
         let tr = self
             .transfers
             .get_mut(&id)

@@ -598,9 +598,11 @@ pub fn explain(baseline: &RunDigest, candidate: &RunDigest) -> ExplainReport {
     });
 
     // Side decomposition: objects, joined on ObjectId.
-    let obj_map = |d: &RunDigest| -> BTreeMap<ObjectId, &ObjectDigest> {
+    // A nested fn, not a closure: the map borrows from its argument, and only
+    // a fn signature elides that lifetime.
+    fn obj_map(d: &RunDigest) -> BTreeMap<ObjectId, &ObjectDigest> {
         d.objects.iter().map(|o| (o.object, o)).collect()
-    };
+    }
     let (bo, co) = (obj_map(baseline), obj_map(candidate));
     let mut ids: std::collections::BTreeSet<ObjectId> = std::collections::BTreeSet::new();
     ids.extend(bo.keys());

@@ -33,6 +33,11 @@ use memtier_des::SimTime;
 use memtier_memsim::{HotnessReport, MemSimConfig, TierId, NUM_TIERS};
 use serde::{Deserialize, Serialize};
 
+/// `skip_serializing_if` hands the field by reference; `SimTime::is_zero` takes `self`.
+fn time_is_zero(t: &SimTime) -> bool {
+    t.is_zero()
+}
+
 /// One task's virtual-time span decomposed into named components. All
 /// fields are exact integer picoseconds and sum to the task's span
 /// (`end − started`) — asserted wherever breakdowns are produced.
@@ -54,7 +59,7 @@ pub struct TaskBreakdown {
     /// wire, broadcast, DFS traffic), including the task's share of link
     /// contention stretch. Zero — and skipped in serialized form, keeping
     /// loopback artifacts byte-identical — without a topology.
-    #[serde(default, skip_serializing_if = "SimTime::is_zero")]
+    #[serde(default, skip_serializing_if = "time_is_zero")]
     pub net: SimTime,
 }
 
@@ -210,7 +215,7 @@ pub struct Attribution {
     pub mem_write: [SimTime; NUM_TIERS],
     /// Network transfer stall of path tasks (zero, and skipped when
     /// serialized, without a topology — loopback artifacts are unchanged).
-    #[serde(default, skip_serializing_if = "SimTime::is_zero")]
+    #[serde(default, skip_serializing_if = "time_is_zero")]
     pub net: SimTime,
 }
 

@@ -135,7 +135,14 @@ impl<K: Key, V: Data> Rdd<(K, V)> {
 
 impl Rdd<String> {
     /// Write one text part-file per partition under `path` in the DFS.
+    ///
+    /// An output directory that already holds files is refused here, on the
+    /// driver; inside the job a part file that already exists can then only
+    /// be an earlier attempt's commit (see [`TaskEnv::dfs_write`]).
     pub fn save_as_text_file(&self, path: &str) -> Result<()> {
+        if !self.ctx.dfs().list(&format!("{path}/")).is_empty() {
+            return Err(memtier_dfs::DfsError::FileExists(path.to_string()).into());
+        }
         let node = Arc::clone(&self.node);
         let path = path.to_string();
         let results: Vec<std::result::Result<(), String>> = self.ctx.run_job(

@@ -421,6 +421,12 @@ impl<'a> TaskEnv<'a> {
 
     /// Write a DFS file, charging one outbound transfer per block replica
     /// when a topology is configured (replica fan-out is network traffic).
+    ///
+    /// First committer wins: task output is a pure function of the
+    /// partition, so a path that already holds a file of this length is an
+    /// earlier attempt's commit of the same bytes (a retry or a speculative
+    /// twin got there first). The re-attempt keeps that file, is charged its
+    /// write traffic like any other attempt, and succeeds.
     pub fn dfs_write(
         &mut self,
         path: &str,
@@ -428,10 +434,14 @@ impl<'a> TaskEnv<'a> {
         block_size: usize,
         replication: usize,
     ) -> Result<FileStatus, DfsError> {
-        let status = self
-            .rt
-            .dfs()
-            .write_file(path, data, block_size, replication)?;
+        let dfs = self.rt.dfs();
+        let status = match dfs.write_file(path, data, block_size, replication) {
+            Err(DfsError::FileExists(p)) => match dfs.stat(path) {
+                Ok(committed) if committed.len == data.len() as u64 => committed,
+                _ => return Err(DfsError::FileExists(p)),
+            },
+            other => other?,
+        };
         if self.net_ctx.is_some() {
             for block in &status.blocks {
                 for &replica in &block.replicas {

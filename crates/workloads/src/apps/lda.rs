@@ -12,7 +12,7 @@ use crate::gen::{rng_for, zipf::Zipf};
 use crate::suite::{Category, DataSize, Workload, WorkloadOutput};
 use rand::Rng;
 use sparklite::error::Result;
-use sparklite::{OpCost, SparkContext};
+use sparklite::{MemSize, OpCost, SparkContext};
 use std::collections::HashMap;
 
 /// (docs, vocabulary, topics, words per doc).
@@ -26,6 +26,67 @@ fn profile(size: DataSize) -> (usize, usize, usize, usize) {
 
 /// EM iterations.
 const ITERATIONS: usize = 6;
+
+/// Marks a `(word, topic)` cell no emission has reached; every stored weight
+/// is strictly positive.
+const ABSENT: f64 = -1.0;
+
+/// The word×topic model as a dense row-major `vocab × topics` table.
+///
+/// Iteration is ascending `(word, topic)`, so every `f64` sum over the model
+/// is a function of its contents alone — the `RandomState` map this replaced
+/// summed in per-instance hash order and moved the normalized table at the
+/// last ulp from run to run.
+struct TopicTable {
+    topics: usize,
+    cells: Vec<f64>,
+    present: usize,
+}
+
+impl TopicTable {
+    fn new(vocab: usize, topics: usize) -> Self {
+        TopicTable {
+            topics,
+            cells: vec![ABSENT; vocab * topics],
+            present: 0,
+        }
+    }
+
+    fn set(&mut self, w: u32, t: u16, v: f64) {
+        let cell = &mut self.cells[w as usize * self.topics + t as usize];
+        if *cell == ABSENT {
+            self.present += 1;
+        }
+        *cell = v;
+    }
+
+    /// Present cells as `((word, topic), weight)`, ascending.
+    fn iter(&self) -> impl Iterator<Item = ((u32, u16), f64)> + '_ {
+        let topics = self.topics;
+        self.cells
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| v != ABSENT)
+            .map(move |(i, &v)| (((i / topics) as u32, (i % topics) as u16), v))
+    }
+
+    /// `phi(w, t)`, with the smoothing floor for a cell no emission reached.
+    fn phi(&self, w: u32, t: usize) -> f64 {
+        match self.cells[w as usize * self.topics + t] {
+            v if v == ABSENT => 1e-6,
+            v => v,
+        }
+    }
+}
+
+impl MemSize for TopicTable {
+    /// What the sparse `(word, topic) -> weight` map it models occupies, so
+    /// broadcast traffic is priced by the present entries, not by the dense
+    /// backing store.
+    fn mem_size(&self) -> usize {
+        std::mem::size_of::<HashMap<(u32, u16), f64>>() + 14 * self.present
+    }
+}
 
 /// The LDA workload.
 pub struct Lda;
@@ -79,11 +140,11 @@ impl Workload for Lda {
         docs.count()?;
 
         // word_topic[(word, topic)] -> weight. Initialized deterministically.
-        let mut word_topic: HashMap<(u32, u16), f64> = HashMap::new();
+        let mut word_topic = TopicTable::new(vocab, topics);
         for w in 0..vocab as u32 {
             for t in 0..topics as u16 {
                 let h = super::fnv_fold(seed, &[(w & 0xff) as u8, (w >> 8) as u8, t as u8]);
-                word_topic.insert((w, t), 0.5 + (h % 100) as f64 / 100.0);
+                word_topic.set(w, t, 0.5 + (h % 100) as f64 / 100.0);
             }
         }
 
@@ -95,13 +156,13 @@ impl Workload for Lda {
             // Per-topic normalization: phi-hat(w, t) = phi(w, t) / total_t,
             // otherwise heavy topics swallow every theta and EM collapses.
             let mut topic_totals = vec![0.0f64; topics];
-            for ((_, t), v) in &word_topic {
-                topic_totals[*t as usize] += v;
+            for ((_, t), v) in word_topic.iter() {
+                topic_totals[t as usize] += v;
             }
-            let normalized: HashMap<(u32, u16), f64> = word_topic
-                .iter()
-                .map(|(&(w, t), &v)| ((w, t), v / topic_totals[t as usize].max(1e-12)))
-                .collect();
+            let mut normalized = TopicTable::new(vocab, topics);
+            for ((w, t), v) in word_topic.iter() {
+                normalized.set(w, t, v / topic_totals[t as usize].max(1e-12));
+            }
             // The table ships to executors as a broadcast variable: each
             // task pays an amortized fetch of the serialized table, exactly
             // like Spark's TorrentBroadcast of the LDA model.
@@ -118,8 +179,7 @@ impl Workload for Lda {
                         .with_writes(0.08 * t_topics as f64);
                     let mut out = Vec::new();
                     for (_, words) in items {
-                        let phi =
-                            |w: u32, t: usize| table.get(&(w, t as u16)).copied().unwrap_or(1e-6);
+                        let phi = |w: u32, t: usize| table.phi(w, t);
                         // Doc-level topic proportions: a short inner EM
                         // (proper variational theta, not a one-shot guess).
                         let mut theta = vec![1.0f64 / t_topics as f64; t_topics];
@@ -176,10 +236,10 @@ impl Workload for Lda {
                 })
                 .reduce_by_key(|a, b| a + b);
             let new_table = contributions.collect()?;
-            word_topic = new_table
-                .iter()
-                .map(|&((w, t), v)| ((w, t), v + 0.01))
-                .collect();
+            word_topic = TopicTable::new(vocab, topics);
+            for &((w, t), v) in &new_table {
+                word_topic.set(w, t, v + 0.01);
+            }
             // Driver-side M-step finalization: renormalizing the full
             // word×topic table is serial work on the driver (as in MLlib's
             // EM-LDA driver aggregation) and dominates LDA's runtime — which
@@ -199,8 +259,8 @@ impl Workload for Lda {
         for t in 0..topics as u16 {
             let mut words: Vec<(u32, f64)> = word_topic
                 .iter()
-                .filter(|((_, wt), _)| *wt == t)
-                .map(|((w, _), &v)| (*w, v))
+                .filter(|&((_, wt), _)| wt == t)
+                .map(|((w, _), v)| (w, v))
                 .collect();
             words.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
             let top: Vec<u32> = words.iter().take(10).map(|&(w, _)| w).collect();
@@ -216,7 +276,7 @@ impl Workload for Lda {
         let coherence = coherence_sum / topics as f64;
 
         Ok(WorkloadOutput {
-            output_records: word_topic.len() as u64,
+            output_records: word_topic.present as u64,
             checksum,
             quality: coherence,
         })
