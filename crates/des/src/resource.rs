@@ -293,7 +293,13 @@ impl SharedResource {
             let eta = if flow.remaining <= DRAIN_EPS {
                 self.last_update
             } else {
-                debug_assert!(rate > 0.0);
+                // A zero share would divide to +inf, which `from_secs_f64`
+                // maps to ZERO: the flow would claim to drain in 1 ps.
+                assert!(
+                    rate > 0.0,
+                    "flow {id:?} has {} left at rate {rate}",
+                    flow.remaining
+                );
                 // Round up by one picosecond so the flow is guaranteed to
                 // have drained when the caller advances to the ETA —
                 // from_secs_f64 rounds to nearest and could land half a

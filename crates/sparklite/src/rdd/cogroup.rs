@@ -2,9 +2,9 @@
 
 use crate::memsize::slice_mem_size;
 use crate::rdd::map::impl_vitals;
-use crate::rdd::shuffled::FnShuffleWriter;
+use crate::rdd::shuffled::plain_writer;
 use crate::rdd::{Computed, Data, Dep, Key, Rdd, RddBase, RddVitals, ShuffleDep, TaskEnv};
-use crate::shuffle::{Bucket, DetHasher, HashPartitioner, Partitioner, ShuffleId};
+use crate::shuffle::{DetHasher, HashPartitioner, Partitioner};
 use crate::storage::StorageLevel;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,42 +30,6 @@ impl RddBase for CoGroupedRdd {
     }
 }
 
-fn plain_writer<K: Key, V: Data>(
-    parent: Arc<dyn RddBase>,
-    partitioner: Arc<HashPartitioner>,
-    shuffle_id: ShuffleId,
-    num_reduces: usize,
-) -> FnShuffleWriter {
-    FnShuffleWriter::new(Box::new(move |map_part, env: &mut TaskEnv<'_>| {
-        let input = env.narrow_input::<(K, V)>(&parent, map_part);
-        let n = input.len() as u64;
-        env.charge_records(n, 0);
-        let mut buckets: Vec<Vec<(K, V)>> = (0..num_reduces).map(|_| Vec::new()).collect();
-        for (k, v) in input.iter() {
-            buckets[Partitioner::<K>::partition(&*partitioner, k)].push((k.clone(), v.clone()));
-        }
-        env.charge_op(n, &crate::cost::OpCost::cpu(12.0));
-        for (b, bucket) in buckets.into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let bytes = slice_mem_size(&bucket) as u64;
-            let records = bucket.len() as u64;
-            env.charge_shuffle_write(shuffle_id, bytes);
-            env.rt.shuffle.put_bucket(
-                shuffle_id,
-                map_part,
-                b,
-                Bucket {
-                    data: Arc::new(bucket),
-                    records,
-                    bytes,
-                },
-            );
-        }
-    }))
-}
-
 impl<K: Key, V: Data> Rdd<(K, V)> {
     /// Group this RDD with `other` by key: for every key, the values from
     /// both sides.
@@ -75,7 +39,7 @@ impl<K: Key, V: Data> Rdd<(K, V)> {
         partitions: usize,
     ) -> Rdd<(K, (Vec<V>, Vec<W>))> {
         let ctx = self.ctx.clone();
-        let partitioner = Arc::new(HashPartitioner::new(partitions));
+        let partitioner: Arc<dyn Partitioner<K>> = Arc::new(HashPartitioner::new(partitions));
         let rt = ctx.runtime();
         let left_id = rt.shuffle.register(self.num_partitions(), partitions);
         let right_id = rt.shuffle.register(other.num_partitions(), partitions);
@@ -88,7 +52,6 @@ impl<K: Key, V: Data> Rdd<(K, V)> {
                 Arc::clone(&self.node),
                 Arc::clone(&partitioner),
                 left_id,
-                partitions,
             )),
         });
         let right_dep = Arc::new(ShuffleDep {
@@ -99,7 +62,6 @@ impl<K: Key, V: Data> Rdd<(K, V)> {
                 Arc::clone(&other.node),
                 Arc::clone(&partitioner),
                 right_id,
-                partitions,
             )),
         });
 

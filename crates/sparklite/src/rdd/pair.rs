@@ -22,12 +22,7 @@ impl<K: Key, V: Data> Rdd<(K, V)> {
         let f = Arc::new(f);
         let f2 = Arc::clone(&f);
         let agg = Aggregator::new(|v: V| v, move |c, v| f(c, v), move |a, b| f2(a, b), true);
-        shuffled_aggregate(
-            self,
-            Arc::new(HashPartitioner::new(partitions)),
-            agg,
-            "reduce_by_key",
-        )
+        shuffled_aggregate(self, partitions, agg, "reduce_by_key")
     }
 
     /// Generalized combiner shuffle (`combineByKey`).
@@ -39,12 +34,7 @@ impl<K: Key, V: Data> Rdd<(K, V)> {
         partitions: usize,
     ) -> Rdd<(K, C)> {
         let agg = Aggregator::new(create, merge_value, merge_combiners, true);
-        shuffled_aggregate(
-            self,
-            Arc::new(HashPartitioner::new(partitions)),
-            agg,
-            "combine_by_key",
-        )
+        shuffled_aggregate(self, partitions, agg, "combine_by_key")
     }
 
     /// Group all values per key (`groupByKey` — no map-side combining, like
@@ -67,12 +57,7 @@ impl<K: Key, V: Data> Rdd<(K, V)> {
             },
             false,
         );
-        shuffled_aggregate(
-            self,
-            Arc::new(HashPartitioner::new(partitions)),
-            agg,
-            "group_by_key",
-        )
+        shuffled_aggregate(self, partitions, agg, "group_by_key")
     }
 
     /// Re-bucket by key hash without aggregation (`partitionBy`).

@@ -12,10 +12,11 @@ use crate::rdd::map::impl_vitals;
 use crate::rdd::{
     Computed, Data, Dep, Key, Rdd, RddBase, RddVitals, ShuffleDep, ShuffleWriter, TaskEnv,
 };
-use crate::shuffle::{Bucket, DetHasher, Partitioner, ShuffleId};
+use crate::shuffle::{det_hash, Bucket, HashPartitioner, Partitioner, ShuffleId};
 use crate::storage::StorageLevel;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// Spark's combiner triple: how reduce-side values fold into combiners.
@@ -68,13 +69,6 @@ pub(crate) struct FnShuffleWriter {
     f: Box<dyn Fn(usize, &mut TaskEnv<'_>) + Send + Sync>,
 }
 
-impl FnShuffleWriter {
-    /// Wrap a map-side closure.
-    pub(crate) fn new(f: Box<dyn Fn(usize, &mut TaskEnv<'_>) + Send + Sync>) -> Self {
-        FnShuffleWriter { f }
-    }
-}
-
 impl ShuffleWriter for FnShuffleWriter {
     fn write_partition(&self, map_part: usize, env: &mut TaskEnv<'_>) {
         (self.f)(map_part, env)
@@ -125,62 +119,149 @@ fn put_typed_bucket<K: Key, C: Data>(
     );
 }
 
+/// The map side every non-combining shuffle shares (`partition_by`,
+/// `sort_by_key`, `group_by_key`, both sides of `cogroup`): bucket the
+/// parent partition's records by `partitioner` and write the non-empty
+/// buckets.
+pub(crate) fn plain_writer<K: Key, V: Data>(
+    parent: Arc<dyn RddBase>,
+    partitioner: Arc<dyn Partitioner<K>>,
+    shuffle_id: ShuffleId,
+) -> FnShuffleWriter {
+    FnShuffleWriter {
+        f: Box::new(move |map_part, env| {
+            let input = env.narrow_input::<(K, V)>(&parent, map_part);
+            let n = input.len() as u64;
+            env.charge_records(n, 0);
+            let mut buckets: Vec<Vec<(K, V)>> = (0..partitioner.num_partitions())
+                .map(|_| Vec::new())
+                .collect();
+            for (k, v) in input.iter() {
+                buckets[partitioner.partition(k)].push((k.clone(), v.clone()));
+            }
+            env.charge_op(n, &OpCost::cpu(12.0));
+            for (b, bucket) in buckets.into_iter().enumerate() {
+                put_typed_bucket(env, shuffle_id, map_part, b, bucket);
+            }
+        }),
+    }
+}
+
+/// A key travelling with its [`det_hash`], so an aggregate table hashes
+/// each record once: the partition, the `remove` and the `insert` all read
+/// the carried value. The hash is the one `HashMap<K, _, DetHasher>` would
+/// compute, so the table's layout — and with it `into_iter()` order — is
+/// the layout of a table keyed by `K` (DESIGN.md, "Carried hash").
+struct Hashed<K> {
+    hash: u64,
+    key: K,
+}
+
+impl<K: Key> Hashed<K> {
+    fn new(key: &K) -> Self {
+        Hashed {
+            hash: det_hash(key),
+            key: key.clone(),
+        }
+    }
+}
+
+impl<K: Eq> PartialEq for Hashed<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.key == other.key
+    }
+}
+
+impl<K: Eq> Eq for Hashed<K> {}
+
+impl<K> Hash for Hashed<K> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Hands a [`Hashed`] key's carried hash to the table unchanged.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("Hashed writes one u64")
+    }
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// An aggregate table: `HashMap<K, C, DetHasher>` with the hash carried.
+type AggTable<K, C> = HashMap<Hashed<K>, C, BuildHasherDefault<PassThrough>>;
+
+/// Replace `table[key]` with `fold` of what was there. `remove` then
+/// `insert`, never `entry()`: `insert` reserves before it probes, so a full
+/// table whose `remove` left a tombstone grows here where an in-place update
+/// would not, and bucket count decides `into_iter()` order.
+fn upsert<K: Key, C>(
+    table: &mut AggTable<K, C>,
+    key: Hashed<K>,
+    fold: impl FnOnce(Option<C>) -> C,
+) {
+    let merged = fold(table.remove(&key));
+    table.insert(key, merged);
+}
+
 /// Construct an aggregating shuffle (`reduce_by_key`, `combine_by_key`,
-/// `group_by_key`).
+/// `group_by_key`), hash-partitioned into `num_reduces`.
 pub(crate) fn shuffled_aggregate<K: Key, V: Data, C: Data>(
     parent: &Rdd<(K, V)>,
-    partitioner: Arc<dyn Partitioner<K>>,
+    num_reduces: usize,
     agg: Aggregator<K, V, C>,
     name: &str,
 ) -> Rdd<(K, C)> {
     let ctx = parent.ctx.clone();
-    let num_reduces = partitioner.num_partitions();
+    let partitioner = Arc::new(HashPartitioner::new(num_reduces));
     let num_maps = parent.num_partitions();
     let shuffle_id = ctx.runtime().shuffle.register(num_maps, num_reduces);
 
     // --- map side -----------------------------------------------------
     let parent_node = Arc::clone(&parent.node);
-    let w_partitioner = Arc::clone(&partitioner);
     let w_agg = agg.clone();
-    let writer = FnShuffleWriter {
-        f: Box::new(move |map_part, env| {
-            let input = env.narrow_input::<(K, V)>(&parent_node, map_part);
-            let n = input.len() as u64;
-            env.charge_records(n, 0);
-            if w_agg.map_side_combine {
-                let mut buckets: Vec<HashMap<K, C, DetHasher>> =
+    let writer = if !agg.map_side_combine {
+        plain_writer::<K, V>(parent_node, partitioner, shuffle_id)
+    } else {
+        FnShuffleWriter {
+            f: Box::new(move |map_part, env| {
+                let input = env.narrow_input::<(K, V)>(&parent_node, map_part);
+                let n = input.len() as u64;
+                env.charge_records(n, 0);
+                let mut buckets: Vec<AggTable<K, C>> =
                     (0..num_reduces).map(|_| HashMap::default()).collect();
                 for (k, v) in input.iter() {
-                    let b = w_partitioner.partition(k);
-                    let merged = match buckets[b].remove(k) {
+                    let k = Hashed::new(k);
+                    // `HashPartitioner::partition`, on the hash already taken.
+                    let b = (k.hash % num_reduces as u64) as usize;
+                    upsert(&mut buckets[b], k, |c| match c {
                         Some(c) => (w_agg.merge_value)(c, v.clone()),
                         None => (w_agg.create)(v.clone()),
-                    };
-                    buckets[b].insert(k.clone(), merged);
+                    });
                 }
                 let table_bytes: u64 = buckets
                     .iter()
                     .map(|m| {
                         m.iter()
-                            .map(|(k, c)| k.mem_size() + c.mem_size())
+                            .map(|(k, c)| k.key.mem_size() + c.mem_size())
                             .sum::<usize>() as u64
                     })
                     .sum();
                 env.charge_hash_ops(n, table_bytes);
                 for (b, bucket) in buckets.into_iter().enumerate() {
-                    put_typed_bucket(env, shuffle_id, map_part, b, bucket.into_iter().collect());
+                    let items = bucket.into_iter().map(|(k, c)| (k.key, c)).collect();
+                    put_typed_bucket(env, shuffle_id, map_part, b, items);
                 }
-            } else {
-                let mut buckets: Vec<Vec<(K, V)>> = (0..num_reduces).map(|_| Vec::new()).collect();
-                for (k, v) in input.iter() {
-                    buckets[w_partitioner.partition(k)].push((k.clone(), v.clone()));
-                }
-                env.charge_op(n, &OpCost::cpu(12.0));
-                for (b, bucket) in buckets.into_iter().enumerate() {
-                    put_typed_bucket(env, shuffle_id, map_part, b, bucket);
-                }
-            }
-        }),
+            }),
+        }
     };
 
     // --- reduce side ----------------------------------------------------
@@ -190,7 +271,7 @@ pub(crate) fn shuffled_aggregate<K: Key, V: Data, C: Data>(
         let total_bytes: u64 = buckets.iter().map(|b| b.bytes).sum();
         env.charge_shuffle_read(shuffle_id, total_bytes, buckets.len() as u64);
         env.charge_shuffle_sources(shuffle_id, part);
-        let mut map: HashMap<K, C, DetHasher> = HashMap::default();
+        let mut map: AggTable<K, C> = HashMap::default();
         let mut n_in = 0u64;
         for bucket in buckets {
             if r_agg.map_side_combine {
@@ -200,11 +281,10 @@ pub(crate) fn shuffled_aggregate<K: Key, V: Data, C: Data>(
                     .expect("map-combined bucket type");
                 n_in += items.len() as u64;
                 for (k, c) in items.iter() {
-                    let merged = match map.remove(k) {
+                    upsert(&mut map, Hashed::new(k), |acc| match acc {
                         Some(acc) => (r_agg.merge_combiners)(acc, c.clone()),
                         None => c.clone(),
-                    };
-                    map.insert(k.clone(), merged);
+                    });
                 }
             } else {
                 let items = bucket
@@ -213,15 +293,14 @@ pub(crate) fn shuffled_aggregate<K: Key, V: Data, C: Data>(
                     .expect("raw bucket type");
                 n_in += items.len() as u64;
                 for (k, v) in items.iter() {
-                    let merged = match map.remove(k) {
+                    upsert(&mut map, Hashed::new(k), |acc| match acc {
                         Some(acc) => (r_agg.merge_value)(acc, v.clone()),
                         None => (r_agg.create)(v.clone()),
-                    };
-                    map.insert(k.clone(), merged);
+                    });
                 }
             }
         }
-        let out: Vec<(K, C)> = map.into_iter().collect();
+        let out: Vec<(K, C)> = map.into_iter().map(|(k, c)| (k.key, c)).collect();
         env.charge_hash_ops(n_in, slice_mem_size(&out) as u64);
         env.charge_records(n_in, out.len() as u64);
         Computed::from_vec(out)
@@ -258,23 +337,7 @@ pub(crate) fn shuffled_plain<K: Key, V: Data>(
     let num_maps = parent.num_partitions();
     let shuffle_id = ctx.runtime().shuffle.register(num_maps, num_reduces);
 
-    let parent_node = Arc::clone(&parent.node);
-    let w_partitioner = Arc::clone(&partitioner);
-    let writer = FnShuffleWriter {
-        f: Box::new(move |map_part, env| {
-            let input = env.narrow_input::<(K, V)>(&parent_node, map_part);
-            let n = input.len() as u64;
-            env.charge_records(n, 0);
-            let mut buckets: Vec<Vec<(K, V)>> = (0..num_reduces).map(|_| Vec::new()).collect();
-            for (k, v) in input.iter() {
-                buckets[w_partitioner.partition(k)].push((k.clone(), v.clone()));
-            }
-            env.charge_op(n, &OpCost::cpu(12.0));
-            for (b, bucket) in buckets.into_iter().enumerate() {
-                put_typed_bucket(env, shuffle_id, map_part, b, bucket);
-            }
-        }),
-    };
+    let writer = plain_writer::<K, V>(Arc::clone(&parent.node), partitioner, shuffle_id);
 
     let reduce = move |part: usize, env: &mut TaskEnv<'_>| -> Computed {
         let buckets = env.rt.shuffle.fetch_reduce(shuffle_id, part);

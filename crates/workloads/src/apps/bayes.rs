@@ -13,6 +13,7 @@ use crate::suite::{Category, DataSize, Workload, WorkloadOutput};
 use rand::Rng;
 use sparklite::error::Result;
 use sparklite::{OpCost, SparkContext};
+use std::sync::Arc;
 
 /// (pages, classes, vocabulary, words per page).
 fn profile(size: DataSize) -> (usize, usize, usize, usize) {
@@ -46,12 +47,14 @@ impl Workload for Bayes {
         let per_part = pages.div_ceil(partitions);
 
         // Pages: (class, word ids). Class-conditional vocabularies are
-        // shifted Zipf heads so classes are actually separable.
+        // shifted Zipf heads so classes are actually separable. One sampler
+        // table serves every partition and the held-out sample below.
+        let zipf = Arc::new(Zipf::new(vocab, 1.05));
+        let page_zipf = Arc::clone(&zipf);
         let docs = sc.generate(
             partitions,
             move |part| {
                 let mut rng = rng_for(seed, part);
-                let zipf = Zipf::new(vocab, 1.05);
                 let lo = part * per_part;
                 let hi = (lo + per_part).min(pages);
                 (lo..hi)
@@ -59,7 +62,7 @@ impl Workload for Bayes {
                         let class = (page % classes) as u32;
                         let words: Vec<u32> = (0..wpp)
                             .map(|_| {
-                                let base = zipf.sample(&mut rng);
+                                let base = page_zipf.sample(&mut rng);
                                 // Shift a third of the mass into a
                                 // class-specific region of the vocabulary.
                                 if rng.gen::<f64>() < 0.33 {
@@ -118,7 +121,6 @@ impl Workload for Bayes {
         let mut rng = rng_for(seed ^ 0x7E57, 0);
         let mut correct = 0usize;
         const HELD_OUT: usize = 200;
-        let zipf = Zipf::new(vocab, 1.05);
         for i in 0..HELD_OUT {
             let truth = (i % classes) as u32;
             let words: Vec<u32> = (0..wpp)
@@ -131,23 +133,23 @@ impl Workload for Bayes {
                     }
                 })
                 .collect();
-            let best = (0..classes as u32)
-                .max_by(|&a, &b| {
-                    let score = |c: u32| {
-                        let prior = (*priors.get(&c).unwrap_or(&1) as f64 / n_docs as f64).ln();
-                        prior
-                            + words
-                                .iter()
-                                .map(|&w| {
-                                    table.get(&(c, w)).copied().unwrap_or_else(|| {
-                                        (1.0 / (*totals.get(&c).unwrap_or(&0) as f64 + v)).ln()
-                                    })
+            let scores: Vec<f64> = (0..classes as u32)
+                .map(|c| {
+                    let prior = (*priors.get(&c).unwrap_or(&1) as f64 / n_docs as f64).ln();
+                    prior
+                        + words
+                            .iter()
+                            .map(|&w| {
+                                table.get(&(c, w)).copied().unwrap_or_else(|| {
+                                    (1.0 / (*totals.get(&c).unwrap_or(&0) as f64 + v)).ln()
                                 })
-                                .sum::<f64>()
-                    };
-                    score(a).partial_cmp(&score(b)).unwrap()
+                            })
+                            .sum::<f64>()
                 })
-                .unwrap();
+                .collect();
+            let best = (0..classes)
+                .max_by(|&a, &b| scores[a].partial_cmp(&scores[b]).unwrap())
+                .unwrap() as u32;
             if best == truth {
                 correct += 1;
             }

@@ -13,6 +13,7 @@ use crate::suite::{Category, DataSize, Workload, WorkloadOutput};
 use rand::Rng;
 use sparklite::error::Result;
 use sparklite::{MemSize, OpCost, SparkContext};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// (docs, vocabulary, topics, words per doc).
@@ -88,6 +89,32 @@ impl MemSize for TopicTable {
     }
 }
 
+/// The indices of the two largest entries of `resp`, strongest first — what
+/// a stable descending sort of the indices puts in front: among equals the
+/// lowest index wins, and the runner-up is the lowest index among the maxima
+/// of the rest. `None` second when there is one topic.
+///
+/// # Panics
+/// Panics on a NaN, like the sort's comparator did.
+fn top_two(resp: &[f64]) -> (usize, Option<usize>) {
+    let beats = |a: usize, b: usize| {
+        resp[a]
+            .partial_cmp(&resp[b])
+            .expect("responsibilities are never NaN")
+            == Ordering::Greater
+    };
+    let (mut first, mut second) = (0, None);
+    for t in 1..resp.len() {
+        if beats(t, first) {
+            second = Some(first);
+            first = t;
+        } else if second.is_none_or(|s| beats(t, s)) {
+            second = Some(t);
+        }
+    }
+    (first, second)
+}
+
 /// The LDA workload.
 pub struct Lda;
 
@@ -112,12 +139,12 @@ impl Workload for Lda {
 
         // Documents with planted topic structure: each doc mixes two true
         // topics whose vocabularies live in disjoint Zipf-shifted regions.
+        let zipf = Zipf::new(vocab / topics, 1.1);
         let docs = sc
             .generate(
                 partitions,
                 move |part| {
                     let mut rng = rng_for(seed, part);
-                    let zipf = Zipf::new(vocab / topics, 1.1);
                     let lo = part * per_part;
                     let hi = (lo + per_part).min(n_docs);
                     (lo..hi)
@@ -178,16 +205,20 @@ impl Workload for Lda {
                         .with_reads(2.2)
                         .with_writes(0.08 * t_topics as f64);
                     let mut out = Vec::new();
+                    // Refilled per document and per word, never reallocated.
+                    let mut theta = vec![0.0f64; t_topics];
+                    let mut acc = vec![0.0f64; t_topics];
+                    let mut resp = vec![0.0f64; t_topics];
                     for (_, words) in items {
-                        let phi = |w: u32, t: usize| table.phi(w, t);
                         // Doc-level topic proportions: a short inner EM
                         // (proper variational theta, not a one-shot guess).
-                        let mut theta = vec![1.0f64 / t_topics as f64; t_topics];
+                        theta.fill(1.0f64 / t_topics as f64);
                         for _ in 0..3 {
-                            let mut acc = vec![0.02f64; t_topics];
+                            acc.fill(0.02f64);
                             for &w in words.iter() {
-                                let resp: Vec<f64> =
-                                    (0..t_topics).map(|t| theta[t] * phi(w, t)).collect();
+                                for (t, r) in resp.iter_mut().enumerate() {
+                                    *r = theta[t] * table.phi(w, t);
+                                }
                                 let rs: f64 = resp.iter().sum();
                                 if rs > 0.0 {
                                     for (a, r) in acc.iter_mut().zip(&resp) {
@@ -196,17 +227,18 @@ impl Workload for Lda {
                                 }
                             }
                             let s: f64 = acc.iter().sum();
-                            theta = acc.into_iter().map(|a| a / s).collect();
+                            for (th, a) in theta.iter_mut().zip(&acc) {
+                                *th = a / s;
+                            }
                         }
                         // Word-level responsibilities.
                         for &w in words.iter() {
-                            let mut resp: Vec<f64> =
-                                (0..t_topics).map(|t| theta[t] * phi(w, t)).collect();
                             // Annealed sharpening (square-and-renormalize)
                             // accelerates symmetry breaking in few-iteration
                             // EM runs.
-                            for r in &mut resp {
-                                *r = *r * *r;
+                            for (t, r) in resp.iter_mut().enumerate() {
+                                let p = theta[t] * table.phi(w, t);
+                                *r = p * p;
                             }
                             let rs: f64 = resp.iter().sum();
                             for r in &mut resp {
@@ -214,9 +246,8 @@ impl Workload for Lda {
                             }
                             // Emit only the two strongest responsibilities
                             // (sparse EM), like practical LDA implementations.
-                            let mut idx: Vec<usize> = (0..t_topics).collect();
-                            idx.sort_by(|&a, &b| resp[b].partial_cmp(&resp[a]).unwrap());
-                            for &t in &idx[..2.min(t_topics)] {
+                            let (first, second) = top_two(&resp);
+                            for t in std::iter::once(first).chain(second) {
                                 out.push(((w, t as u16), resp[t]));
                             }
                         }
@@ -287,6 +318,33 @@ impl Workload for Lda {
 mod tests {
     use super::*;
     use sparklite::SparkConf;
+
+    #[test]
+    fn top_two_is_a_stable_descending_sort_cut_at_two() {
+        let cases: [&[f64]; 8] = [
+            &[0.25, 0.25, 0.25, 0.25], // all equal
+            &[0.1, 0.4, 0.4, 0.1],     // maximum duplicated
+            &[0.5, 0.2, 0.1, 0.2],     // runner-up duplicated
+            &[0.2, 0.5, 0.2],          // runner-up on both sides
+            &[0.1, 0.2, 0.3, 0.4],     // ascending
+            &[0.4, 0.3, 0.2, 0.1],     // descending
+            &[0.0, 0.0, 1.0, 0.0, 1.0, 0.5],
+            &[1.0], // one topic
+        ];
+        for resp in cases {
+            let mut idx: Vec<usize> = (0..resp.len()).collect();
+            idx.sort_by(|&a, &b| resp[b].partial_cmp(&resp[a]).unwrap());
+            let (first, second) = top_two(resp);
+            let got: Vec<usize> = std::iter::once(first).chain(second).collect();
+            assert_eq!(got, idx[..2.min(resp.len())], "{resp:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "never NaN")]
+    fn top_two_refuses_to_order_a_nan() {
+        top_two(&[0.3, f64::NAN, 0.1]);
+    }
 
     #[test]
     fn topics_align_with_planted_regions() {

@@ -9,7 +9,7 @@
 //! are small enough to be tier-tolerant (Fig. 2's pagerank-tiny/small
 //! observation).
 
-use crate::gen::generate_links;
+use crate::gen::LinkGen;
 use crate::suite::{Category, DataSize, Workload, WorkloadOutput};
 use sparklite::error::Result;
 use sparklite::{OpCost, SparkContext};
@@ -56,6 +56,7 @@ impl Workload for PageRank {
 
         // links: (page, out-neighbours), partitioned once and cached — the
         // canonical Spark pagerank optimization.
+        let link_gen = LinkGen::new(n, MAX_DEGREE);
         let links = sc
             .generate(
                 partitions,
@@ -63,7 +64,7 @@ impl Workload for PageRank {
                     // More partitions than pages leaves the tail empty.
                     let lo = (part as u64 * per_part).min(n);
                     let hi = (lo + per_part).min(n);
-                    generate_links(seed, part, lo, hi, n, MAX_DEGREE)
+                    link_gen.links(seed, part, lo, hi)
                 },
                 OpCost::cpu(70.0),
             )

@@ -3,10 +3,55 @@
 use crate::gen::rng_for;
 use crate::gen::zipf::Zipf;
 
-/// Generate the outgoing links of pages `[lo, hi)` for a graph of `pages`
-/// pages: out-degrees follow Zipf over `[1, max_degree]` and targets are
-/// preferentially attached (Zipf over page ids), giving the skewed in-degree
-/// distribution real web graphs (and HiBench's pagerank generator) have.
+/// The link generator of one graph: its two sampler tables, built once and
+/// shared by every partition of a run.
+#[derive(Debug, Clone)]
+pub struct LinkGen {
+    pages: u64,
+    degree_dist: Zipf,
+    target_dist: Zipf,
+}
+
+impl LinkGen {
+    /// A generator for a graph of `pages` pages: out-degrees follow Zipf
+    /// over `[1, max_degree]` and targets are preferentially attached (Zipf
+    /// over page ids), giving the skewed in-degree distribution real web
+    /// graphs (and HiBench's pagerank generator) have.
+    ///
+    /// # Panics
+    /// Panics if `pages == 0`.
+    pub fn new(pages: u64, max_degree: usize) -> LinkGen {
+        assert!(pages > 0);
+        LinkGen {
+            pages,
+            degree_dist: Zipf::new(max_degree.max(1), 0.8),
+            target_dist: Zipf::new(pages as usize, 0.6),
+        }
+    }
+
+    /// The outgoing links of pages `[lo, hi)`, drawn from `partition`'s
+    /// stream of `seed`. Every source page gets at least one link (dangling
+    /// sources would leak rank mass in the simple power iteration).
+    pub fn links(&self, seed: u64, partition: usize, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+        assert!(lo <= hi && hi <= self.pages);
+        let mut rng = rng_for(seed, partition);
+        let mut links = Vec::new();
+        for page in lo..hi {
+            let degree = self.degree_dist.sample(&mut rng) + 1;
+            for _ in 0..degree {
+                let mut target = self.target_dist.sample(&mut rng) as u64;
+                if target == page {
+                    target = (target + 1) % self.pages;
+                }
+                links.push((page, target));
+            }
+        }
+        links
+    }
+}
+
+/// [`LinkGen::new`]`(pages, max_degree).`[`links`](LinkGen::links)`(seed,
+/// partition, lo, hi)` in one call, for a caller that generates one range.
 pub fn generate_links(
     seed: u64,
     partition: usize,
@@ -15,24 +60,7 @@ pub fn generate_links(
     pages: u64,
     max_degree: usize,
 ) -> Vec<(u64, u64)> {
-    assert!(pages > 0 && lo <= hi && hi <= pages);
-    let mut rng = rng_for(seed, partition);
-    let degree_dist = Zipf::new(max_degree.max(1), 0.8);
-    let target_dist = Zipf::new(pages as usize, 0.6);
-    let mut links = Vec::new();
-    for page in lo..hi {
-        let degree = degree_dist.sample(&mut rng) + 1;
-        for _ in 0..degree {
-            let mut target = target_dist.sample(&mut rng) as u64;
-            if target == page {
-                target = (target + 1) % pages;
-            }
-            links.push((page, target));
-        }
-    }
-    // Ensure every source page has at least one link (dangling sources
-    // would leak rank mass in the simple power iteration).
-    links
+    LinkGen::new(pages, max_degree).links(seed, partition, lo, hi)
 }
 
 #[cfg(test)]

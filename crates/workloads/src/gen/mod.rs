@@ -5,7 +5,7 @@ pub mod ratings;
 pub mod text;
 pub mod zipf;
 
-pub use graph::generate_links;
+pub use graph::{generate_links, LinkGen};
 pub use ratings::generate_ratings;
 pub use text::{random_line, random_word};
 pub use zipf::Zipf;
