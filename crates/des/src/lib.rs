@@ -39,5 +39,5 @@ pub use prof as simprof;
 pub use contention::ContentionModel;
 pub use prof::{EngineProf, EngineStats, EventClass, Histogram, PhaseGuard, ProfPhase};
 pub use queue::EventQueue;
-pub use resource::{FlowId, SharedResource};
+pub use resource::{earliest_completion, FlowId, SharedResource};
 pub use time::SimTime;

@@ -418,12 +418,46 @@ impl SharedResource {
     }
 }
 
+/// The earliest `(instant, resource index, flow)` completion over a set of
+/// resources, or `None` when all are idle. A tie goes to the lowest index
+/// (first strictly-less wins), so the choice is deterministic. Queries each
+/// resource's memoized [`next_completion`](SharedResource::next_completion)
+/// exactly once.
+#[inline]
+pub fn earliest_completion(resources: &[SharedResource]) -> Option<(SimTime, usize, FlowId)> {
+    let mut best: Option<(SimTime, usize, FlowId)> = None;
+    for (i, r) in resources.iter().enumerate() {
+        if let Some((t, f)) = r.next_completion() {
+            if best.is_none_or(|(bt, _, _)| t < bt) {
+                best = Some((t, i, f));
+            }
+        }
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn res(cap: f64) -> SharedResource {
         SharedResource::new(cap, ContentionModel::None)
+    }
+
+    #[test]
+    fn earliest_completion_prefers_the_lowest_index_on_a_tie() {
+        let mut rs = vec![res(100.0), res(100.0), res(100.0)];
+        assert_eq!(earliest_completion(&rs), None);
+        rs[2].add_flow(SimTime::ZERO, 7, 50.0, 10.0);
+        rs[1].add_flow(SimTime::ZERO, 9, 50.0, 10.0);
+        let (t, i, f) = earliest_completion(&rs).unwrap();
+        assert_eq!((i, f), (1, 9), "equal ETAs: the first resource wins");
+        rs[2].add_flow(SimTime::ZERO, 3, 10.0, 10.0);
+        assert_eq!(
+            earliest_completion(&rs).map(|(_, i, f)| (i, f)),
+            Some((2, 3))
+        );
+        assert!(earliest_completion(&rs).unwrap().0 < t);
     }
 
     #[test]

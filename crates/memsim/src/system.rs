@@ -11,7 +11,9 @@ use crate::tier::{TierId, TierParams, NUM_TIERS};
 use crate::topology::Topology;
 use crate::wear::{WearReport, WearTracker};
 use crate::window::WindowRollup;
-use memtier_des::{EngineProf, EventClass, FlowId, ProfPhase, SharedResource, SimTime};
+use memtier_des::{
+    earliest_completion, EngineProf, EventClass, FlowId, ProfPhase, SharedResource, SimTime,
+};
 
 /// The simulated memory system: four tiers, each a fair-share bandwidth
 /// resource, plus counters / energy / wear instrumentation.
@@ -384,18 +386,7 @@ impl MemorySystem {
 
     /// Earliest completion across all tiers: `(time, tier, flow)`.
     pub fn next_completion(&self) -> Option<(SimTime, TierId, FlowId)> {
-        let mut best: Option<(SimTime, TierId, FlowId)> = None;
-        for tier in TierId::all() {
-            if let Some((t, f)) = self.resources[tier.index()].next_completion() {
-                let cand = (t, tier, f);
-                best = match best {
-                    None => Some(cand),
-                    Some(b) if cand.0 < b.0 => Some(cand),
-                    b => b,
-                };
-            }
-        }
-        best
+        earliest_completion(&self.resources).map(|(t, i, f)| (t, TierId::all()[i], f))
     }
 
     /// Advance all tier resources to `now`, taking utilization samples at

@@ -10,7 +10,7 @@
 //! nothing.
 
 use crate::topology::NetTopology;
-use memtier_des::{ContentionModel, SharedResource, SimTime};
+use memtier_des::{earliest_completion, ContentionModel, SharedResource, SimTime};
 use std::collections::BTreeMap;
 
 /// An in-flight transfer's bookkeeping.
@@ -145,10 +145,7 @@ impl NetworkPlane {
     /// no transfers are in flight. The caller advances to this instant and
     /// calls [`step`](Self::step).
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.links
-            .iter()
-            .filter_map(|l| l.next_completion().map(|(t, _)| t))
-            .min()
+        earliest_completion(&self.links).map(|(t, _, _)| t)
     }
 
     /// Process exactly one link-drain event at `at` (which must be the time
@@ -163,15 +160,7 @@ impl NetworkPlane {
         // The same all-links search `next_event_time` just made: every link
         // is as that call left it, so each query is a memo hit in
         // `SharedResource`, not a rescan — the plane keeps no cache itself.
-        let mut best: Option<(SimTime, usize, u64)> = None;
-        for (i, l) in self.links.iter().enumerate() {
-            if let Some((t, f)) = l.next_completion() {
-                if best.map_or(true, |(bt, _, _)| t < bt) {
-                    best = Some((t, i, f));
-                }
-            }
-        }
-        let (t, li, id) = best.expect("step with no flows in flight");
+        let (t, li, id) = earliest_completion(&self.links).expect("step with no flows in flight");
         assert!(t <= at, "stepping past the next drain event");
         self.advance(at);
         let residual = self.links[li].remove_flow(at, id);

@@ -10,13 +10,13 @@ use crate::events::{
 use crate::explain::RunDigest;
 use crate::faultsim::{FaultState, RecoveryStats};
 use crate::metrics::{AppMetrics, StageRollup, SystemEvents};
-use crate::net::{NetChargeKind, NetReport, NetState};
+use crate::net::{NetChargeKind, NetReport, NetRoute, NetState};
 use crate::profile::{build_profile, ProfileLog, RunProfile};
 use crate::rdd::source::{GeneratorRdd, ParallelizeRdd, TextFileRdd};
 use crate::rdd::{Data, Rdd, RddId, RddVitals, TaskEnv};
 use crate::runtime::Runtime;
 use crate::scheduler::executor::{build_executors, ExecutorSpec};
-use crate::scheduler::{build_plan, JobRunner};
+use crate::scheduler::{build_plan, JobRunner, RunState};
 use crate::storage::CacheStats;
 use memtier_des::{EngineStats, ProfPhase, SimTime};
 use memtier_dfs::DfsClient;
@@ -25,6 +25,7 @@ use memtier_memsim::{
     PlacementEngine, RunTelemetry, TierId, WindowRollup,
 };
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -91,19 +92,10 @@ pub struct RunReport {
 struct Inner {
     conf: SparkConf,
     runtime: Runtime,
-    mem: Mutex<MemorySystem>,
-    placement: Mutex<PlacementEngine>,
-    clock: Mutex<SimTime>,
     next_rdd: AtomicU32,
-    app: Mutex<AppMetrics>,
     executors: Vec<ExecutorSpec>,
-    trace: Mutex<Option<Vec<crate::trace::TaskSpan>>>,
-    events: Mutex<EventBus>,
-    rollups: Mutex<Vec<StageRollup>>,
-    event_log: Mutex<Option<MemoryRingHandle>>,
-    profile_log: Mutex<ProfileLog>,
-    faults: Mutex<FaultState>,
-    net: Mutex<NetState>,
+    /// Everything jobs mutate, behind the context's one lock.
+    state: Mutex<RunState>,
 }
 
 /// A handle to one application. Cloning shares the application (like
@@ -135,29 +127,30 @@ impl SparkContext {
             mem.enable_engine_prof();
         }
         let executors = build_executors(&conf, mem.topology());
-        let placement = match &conf.placement_mode {
-            PlacementMode::Static => PlacementEngine::new_static(),
-            PlacementMode::Dynamic(spec) => PlacementEngine::new_dynamic(spec),
+        let state = RunState {
+            engine: match &conf.placement_mode {
+                PlacementMode::Static => PlacementEngine::new_static(),
+                PlacementMode::Dynamic(spec) => PlacementEngine::new_dynamic(spec),
+            },
+            clock: SimTime::ZERO,
+            app: AppMetrics::default(),
+            trace: None,
+            events: EventBus::new(),
+            rollups: Vec::new(),
+            event_log: None,
+            profile: ProfileLog::default(),
+            faults: FaultState::new(conf.fault_plan.clone(), executors.len()),
+            net: NetState::new(&conf.network),
+            block_owner: BTreeMap::new(),
+            mem,
         };
-        let faults = FaultState::new(conf.fault_plan.clone(), executors.len());
-        let net = NetState::new(&conf.network);
         Ok(SparkContext {
             inner: Arc::new(Inner {
                 conf,
                 runtime,
-                mem: Mutex::new(mem),
-                placement: Mutex::new(placement),
-                clock: Mutex::new(SimTime::ZERO),
                 next_rdd: AtomicU32::new(0),
-                app: Mutex::new(AppMetrics::default()),
                 executors,
-                trace: Mutex::new(None),
-                events: Mutex::new(EventBus::new()),
-                rollups: Mutex::new(Vec::new()),
-                event_log: Mutex::new(None),
-                profile_log: Mutex::new(ProfileLog::default()),
-                faults: Mutex::new(faults),
-                net: Mutex::new(net),
+                state: Mutex::new(state),
             }),
         })
     }
@@ -253,38 +246,12 @@ impl SparkContext {
         }
         let inner = &self.inner;
         let plan = build_plan(rdd.node(), &inner.runtime);
-        let mut mem = inner.mem.lock();
-        let mut placement = inner.placement.lock();
-        let mut clock = inner.clock.lock();
-        let mut app = inner.app.lock();
-        let mut trace = inner.trace.lock();
-        let mut events = inner.events.lock();
-        let mut rollups = inner.rollups.lock();
-        let mut profile_log = inner.profile_log.lock();
-        let mut faults = inner.faults.lock();
-        let mut net = inner.net.lock();
-        let job_seq = app.jobs;
-        let runner = JobRunner::new(
-            &inner.runtime,
-            &mut mem,
-            &mut placement,
-            &mut app,
-            &inner.executors,
-            plan,
-            f,
-            *clock,
-            job_seq,
-            trace.as_mut(),
-            &mut events,
-            &mut rollups,
-            &mut profile_log,
-            &mut faults,
-            &mut net,
-        );
-        let outcome = runner.run()?;
-        *clock = outcome.finished_at;
-        app.jobs += 1;
-        app.stages += outcome.stages_run;
+        let mut state = inner.state.lock();
+        let outcome =
+            JobRunner::new(&inner.runtime, &mut state, &inner.executors, plan, f).run()?;
+        state.clock = outcome.finished_at;
+        state.app.jobs += 1;
+        state.app.stages += outcome.stages_run;
         Ok(outcome.results)
     }
 
@@ -292,7 +259,7 @@ impl SparkContext {
 
     /// Current virtual time (the application's running execution time).
     pub fn elapsed(&self) -> SimTime {
-        *self.inner.clock.lock()
+        self.inner.state.lock().clock
     }
 
     /// Charge serial driver-side computation: advances the virtual clock by
@@ -301,22 +268,23 @@ impl SparkContext {
     /// split selection, …) use this so that work is part of the measured
     /// execution time — exactly as it is for a real Spark driver.
     pub fn run_driver_work(&self, cpu_ns: f64) {
-        let mut clock = self.inner.clock.lock();
-        let mut mem = self.inner.mem.lock();
-        *clock += SimTime::from_ns_f64(cpu_ns);
-        mem.advance(*clock);
-        self.inner.app.lock().totals.cpu_ns += cpu_ns.max(0.0);
+        let mut st = self.inner.state.lock();
+        st.clock += SimTime::from_ns_f64(cpu_ns);
+        let now = st.clock;
+        st.mem.advance(now);
+        st.app.totals.cpu_ns += cpu_ns.max(0.0);
     }
 
     /// Start sampling per-tier channel utilization every `interval` of
     /// virtual time (see [`MemorySystem::enable_utilization_sampling`]).
     pub fn enable_utilization_sampling(&self, interval: SimTime) {
-        self.inner.mem.lock().enable_utilization_sampling(interval);
+        let mut st = self.inner.state.lock();
+        st.mem.enable_utilization_sampling(interval)
     }
 
     /// The recorded utilization samples so far.
     pub fn utilization_samples(&self) -> Vec<memtier_memsim::UtilizationSample> {
-        self.inner.mem.lock().utilization_samples().to_vec()
+        self.inner.state.lock().mem.utilization_samples().to_vec()
     }
 
     /// Start sampling the full counter time series (media counters,
@@ -324,12 +292,16 @@ impl SparkContext {
     /// `interval` of virtual time (see
     /// [`MemorySystem::enable_counter_sampling`]).
     pub fn enable_counter_sampling(&self, interval: SimTime) {
-        self.inner.mem.lock().enable_counter_sampling(interval);
+        self.inner
+            .state
+            .lock()
+            .mem
+            .enable_counter_sampling(interval);
     }
 
     /// The recorded counter samples so far.
     pub fn counter_samples(&self) -> Vec<CounterSample> {
-        self.inner.mem.lock().counter_samples().to_vec()
+        self.inner.state.lock().mem.counter_samples().to_vec()
     }
 
     /// Attach a lifecycle-event sink. All jobs run after this call emit
@@ -337,66 +309,59 @@ impl SparkContext {
     /// changes) to it. With no sink attached, emission is disabled and
     /// costs nothing measurable.
     pub fn add_event_sink(&self, sink: Box<dyn EventSink>) {
-        self.inner.events.lock().attach(sink);
+        self.inner.state.lock().events.attach(sink);
     }
 
     /// Attach (once) a bounded in-memory event log and return a read
     /// handle to it. Idempotent: repeated calls return handles onto the
     /// same ring.
     pub fn enable_event_log(&self) -> MemoryRingHandle {
-        let mut log = self.inner.event_log.lock();
-        if let Some(handle) = log.as_ref() {
+        let mut st = self.inner.state.lock();
+        if let Some(handle) = st.event_log.as_ref() {
             return handle.clone();
         }
         let ring = MemoryRing::new(DEFAULT_RING_CAPACITY);
         let handle = ring.handle();
-        self.inner.events.lock().attach(Box::new(ring));
-        *log = Some(handle.clone());
+        st.events.attach(Box::new(ring));
+        st.event_log = Some(handle.clone());
         handle
     }
 
     /// The events retained by the in-memory log (empty if
     /// [`enable_event_log`](Self::enable_event_log) was never called).
     pub fn logged_events(&self) -> Vec<TimedEvent> {
-        self.inner
-            .event_log
-            .lock()
-            .as_ref()
-            .map(|h| h.events())
-            .unwrap_or_default()
+        let log = self.inner.state.lock().event_log.clone();
+        log.map(|h| h.events()).unwrap_or_default()
     }
 
     /// Per-stage metric rollups for every stage completed so far.
     pub fn stage_rollups(&self) -> Vec<StageRollup> {
-        self.inner.rollups.lock().clone()
+        self.inner.state.lock().rollups.clone()
     }
 
     /// The raw profiler log (per-task breakdowns, stage activation edges,
     /// job windows) recorded so far. Always collected, like rollups.
     pub fn profile_log(&self) -> ProfileLog {
-        self.inner.profile_log.lock().clone()
+        self.inner.state.lock().profile.clone()
     }
 
     /// The critical-path profile of everything run so far: walks the
     /// recorded DAG, extracts the critical path, and rolls its components
     /// into a conserved attribution of the current virtual time.
     pub fn run_profile(&self) -> RunProfile {
-        let elapsed = *self.inner.clock.lock();
-        build_profile(&self.inner.profile_log.lock(), elapsed)
+        let st = self.inner.state.lock();
+        build_profile(&st.profile, st.clock)
     }
 
     /// Start recording per-task spans for Chrome-tracing export. Only jobs
     /// run after this call are captured.
     pub fn enable_tracing(&self) {
-        let mut t = self.inner.trace.lock();
-        if t.is_none() {
-            *t = Some(Vec::new());
-        }
+        self.inner.state.lock().trace.get_or_insert_with(Vec::new);
     }
 
     /// The recorded task spans, if tracing is enabled.
     pub fn task_spans(&self) -> Option<Vec<crate::trace::TaskSpan>> {
-        self.inner.trace.lock().clone()
+        self.inner.state.lock().trace.clone()
     }
 
     /// The recorded timeline as Chrome-tracing JSON (`chrome://tracing`,
@@ -409,17 +374,16 @@ impl SparkContext {
     /// tasks). Call after [`finish`](Self::finish) to include the final
     /// conservation sample.
     pub fn chrome_trace(&self) -> Option<String> {
-        let samples = self.inner.mem.lock().counter_samples().to_vec();
         let events = self.logged_events();
-        let profile = self.run_profile();
-        let objects = self.object_series();
-        self.inner.trace.lock().as_ref().map(|spans| {
+        let st = self.inner.state.lock();
+        let profile = build_profile(&st.profile, st.clock);
+        st.trace.as_ref().map(|spans| {
             crate::trace::chrome_trace_json_objects(
                 spans,
-                &samples,
+                st.mem.counter_samples(),
                 &events,
                 Some(&profile),
-                &objects,
+                st.mem.object_series(),
             )
         })
     }
@@ -430,13 +394,13 @@ impl SparkContext {
     /// (like the profiler log); conserves against [`counters`](Self::counters)
     /// in exact integers.
     pub fn hotness_report(&self) -> HotnessReport {
-        self.inner.mem.lock().hotness_report()
+        self.inner.state.lock().mem.hotness_report()
     }
 
     /// The per-object traffic time series recorded so far (one sample per
     /// attributed access batch, cumulative bytes per object).
     pub fn object_series(&self) -> Vec<ObjectSample> {
-        self.inner.mem.lock().object_series().to_vec()
+        self.inner.state.lock().mem.object_series().to_vec()
     }
 
     /// The windowed rollup of every counter charge so far: per-tier traffic
@@ -444,61 +408,59 @@ impl SparkContext {
     /// per charge) and conserving against [`counters`](Self::counters) in
     /// exact integers — the run doctor's primary series source.
     pub fn window_rollup(&self) -> WindowRollup {
-        self.inner.mem.lock().windows().clone()
+        self.inner.state.lock().mem.windows().clone()
     }
 
     /// Emit the structured unpersist event (called by
     /// [`Rdd::unpersist`](crate::rdd::Rdd::unpersist) after the block
     /// manager dropped the RDD's blocks).
     pub(crate) fn emit_unpersist(&self, rdd: u32, bytes_freed: u64) {
-        let now = *self.inner.clock.lock();
-        let mut events = self.inner.events.lock();
-        if events.is_active() {
-            events.emit(now, Event::RddUnpersisted { rdd, bytes_freed });
+        let st = &mut *self.inner.state.lock();
+        if st.events.is_active() {
+            st.events
+                .emit(st.clock, Event::RddUnpersisted { rdd, bytes_freed });
         }
     }
 
     /// What the placement engine has done so far (all zeros under static
     /// placement).
     pub fn migration_stats(&self) -> MigrationStats {
-        self.inner.placement.lock().stats()
+        self.inner.state.lock().engine.stats()
     }
 
     /// The active placement policy's name (`"membind"` in static mode).
     pub fn placement_policy_name(&self) -> &'static str {
-        self.inner.placement.lock().policy_name()
+        self.inner.state.lock().engine.policy_name()
     }
 
     /// Engine-level metrics so far.
     pub fn metrics(&self) -> AppMetrics {
-        *self.inner.app.lock()
+        self.inner.state.lock().app
     }
 
     /// Live `ipmctl`-style counter snapshot.
     pub fn counters(&self) -> CounterSnapshot {
-        self.inner.mem.lock().counters()
+        self.inner.state.lock().mem.counters()
     }
 
     /// Apply an MBA throttle level (percent) to one tier.
     pub fn set_mba_level(&self, tier: TierId, percent: u8) {
-        let mut mem = self.inner.mem.lock();
-        let now = *self.inner.clock.lock();
-        mem.set_mba_level(now, tier, percent);
-        let mut events = self.inner.events.lock();
-        if events.is_active() {
-            events.emit(now, Event::MbaThrottle { tier, percent });
+        let st = &mut *self.inner.state.lock();
+        st.mem.set_mba_level(st.clock, tier, percent);
+        if st.events.is_active() {
+            st.events
+                .emit(st.clock, Event::MbaThrottle { tier, percent });
         }
     }
 
     /// Apply an MBA throttle level to every tier.
     pub fn set_mba_all(&self, percent: u8) {
-        let mut mem = self.inner.mem.lock();
-        let now = *self.inner.clock.lock();
-        mem.set_mba_all(now, percent);
-        let mut events = self.inner.events.lock();
-        if events.is_active() {
+        let st = &mut *self.inner.state.lock();
+        st.mem.set_mba_all(st.clock, percent);
+        if st.events.is_active() {
             for tier in TierId::all() {
-                events.emit(now, Event::MbaThrottle { tier, percent });
+                st.events
+                    .emit(st.clock, Event::MbaThrottle { tier, percent });
             }
         }
     }
@@ -507,50 +469,34 @@ impl SparkContext {
     /// time, telemetry with static energy integrated, metrics, event
     /// vector).
     pub fn finish(&self) -> RunReport {
-        let mut mem = self.inner.mem.lock();
-        let elapsed = *self.inner.clock.lock();
-        let prof = mem.engine_prof().clone();
+        let st = &mut *self.inner.state.lock();
+        let elapsed = st.clock;
+        let prof = st.mem.engine_prof().clone();
         let mut report = {
             let _t = prof.phase(ProfPhase::Serialization);
-            let telemetry = mem.finish_run(elapsed);
-            let sink_errors: Vec<String> = self
-                .inner
-                .events
-                .lock()
-                .flush()
-                .iter()
-                .map(|e| e.to_string())
-                .collect();
-            let metrics = *self.inner.app.lock();
+            let telemetry = st.mem.finish_run(elapsed);
+            let sink_errors: Vec<String> =
+                st.events.flush().iter().map(|e| e.to_string()).collect();
+            let metrics = st.app;
             let snap = telemetry.counters;
             let (reads, writes) = TierId::all().iter().fold((0, 0), |(r, w), &t| {
                 (r + snap.tier(t).reads, w + snap.tier(t).writes)
             });
             let events = SystemEvents::collect(&metrics, reads, writes);
             let hotness = telemetry.hotness.clone();
-            let migrations = self.inner.placement.lock().stats();
-            let (recovery, waste_spans) = {
-                let faults = self.inner.faults.lock();
-                (faults.stats, faults.waste_spans.clone())
-            };
-            let profile_log = self.inner.profile_log.lock();
-            let profile = build_profile(&profile_log, elapsed);
-            let digest = crate::explain::build_digest(
-                &profile,
-                &profile_log,
-                &hotness,
-                migrations,
-                recovery,
-            );
+            let migrations = st.engine.stats();
+            let recovery = st.faults.stats;
+            let profile = build_profile(&st.profile, elapsed);
+            let digest =
+                crate::explain::build_digest(&profile, &st.profile, &hotness, migrations, recovery);
             let cache = self.inner.runtime.cache.stats();
-            let params = TierId::all().map(|t| mem.tier_params(t).clone());
+            let params = TierId::all().map(|t| st.mem.tier_params(t).clone());
             let total_cores: u64 = self.inner.executors.iter().map(|e| e.cores as u64).sum();
-            let net = self.inner.net.lock();
-            debug_assert!(
-                net.conserves(),
+            assert!(
+                st.net.conserves(),
                 "per-link byte counters must re-sum from completed transfers"
             );
-            let network = net.report();
+            let network = st.net.report();
             let doctor = diagnose(&DoctorInputs {
                 elapsed,
                 total_cores,
@@ -558,25 +504,23 @@ impl SparkContext {
                 counters: &snap,
                 params: &params,
                 profile: &profile,
-                log: &profile_log,
+                log: &st.profile,
                 hotness: &hotness,
                 cache: &cache,
                 migrations,
                 recovery,
-                waste_spans: &waste_spans,
-                object_series: mem.object_series(),
+                waste_spans: &st.faults.waste_spans,
+                object_series: st.mem.object_series(),
                 network: network.clone(),
-                net_records: &net.records,
+                net_records: &st.net.records,
             });
-            drop(net);
-            drop(profile_log);
             RunReport {
                 elapsed,
                 telemetry,
                 metrics,
                 events,
                 cache,
-                stage_rollups: self.inner.rollups.lock().clone(),
+                stage_rollups: st.rollups.clone(),
                 profile,
                 hotness,
                 migrations,
@@ -598,13 +542,13 @@ impl SparkContext {
     /// counters are all zeros with no fault plan configured; `useful_time`
     /// accrues regardless.
     pub fn recovery_stats(&self) -> RecoveryStats {
-        self.inner.faults.lock().stats
+        self.inner.state.lock().faults.stats
     }
 
     /// Aggregated network-plane activity so far (all zeros under the
     /// default loopback wiring).
     pub fn net_report(&self) -> NetReport {
-        self.inner.net.lock().report()
+        self.inner.state.lock().net.report()
     }
 
     /// Restore full DFS replication after datanode loss, charging every
@@ -621,79 +565,38 @@ impl SparkContext {
             .dfs_deployment()
             .rereplicate_with_records()
             .map_err(SparkError::from)?;
-        let mut net = self.inner.net.lock();
-        if !net.active() || copies.is_empty() {
+        let st = &mut *self.inner.state.lock();
+        if !st.net.active() || copies.is_empty() {
             return Ok(copies.len());
         }
-        let mut clock = self.inner.clock.lock();
-        let mut events = self.inner.events.lock();
-        let start = *clock;
-        for c in &copies {
-            if c.bytes == 0 {
-                continue;
-            }
-            let topo = net.topology().expect("active plane has a topology");
-            let src = topo.node_of_datanode(c.src.0);
-            let dst = topo.node_of_datanode(c.dst.0);
-            if src == dst {
-                net.note_node_local(c.bytes);
+        let start = st.clock;
+        for c in copies.iter().filter(|c| c.bytes > 0) {
+            let topo = st.net.topology().expect("active plane has a topology");
+            let route = NetRoute {
+                kind: NetChargeKind::Rereplicate,
+                src: topo.node_of_datanode(c.src.0),
+                dst: topo.node_of_datanode(c.dst.0),
+                bytes: c.bytes,
+            };
+            if route.src == route.dst {
+                st.net.note_node_local(c.bytes);
                 continue;
             }
             // Pace each copy at its path's nominal solo rate; concurrent
             // copies then fair-share the links like any other flows.
-            let nominal = topo.nominal_time(src, dst, c.bytes);
+            let nominal = topo.nominal_time(route.src, route.dst, c.bytes);
             let rate = c.bytes as f64 / nominal.as_secs_f64().max(1e-12);
-            let (_, links, locality) = net.begin(
-                start,
-                None,
-                NetChargeKind::Rereplicate,
-                src,
-                dst,
-                c.bytes,
-                rate,
-                false,
-            );
-            if events.is_active() {
-                let topo = net.topology().expect("active plane has a topology");
-                for &l in &links {
-                    events.emit(
-                        start,
-                        Event::FlowStarted {
-                            task_id: None,
-                            link: topo.link_at(l).label(),
-                            bytes: c.bytes,
-                            locality: locality.label().to_string(),
-                        },
-                    );
-                }
-            }
+            st.net
+                .begin(start, &mut st.events, None, route, rate, false);
         }
         // Drain the plane: re-replication runs to completion before the
         // application resumes, advancing the virtual clock past the last
         // copy.
-        while let Some(t) = net.next_event_time() {
-            if let Some(rec) = net.step(t) {
-                let (bytes, locality, links) = (rec.bytes, rec.locality, rec.links.clone());
-                if events.is_active() {
-                    let topo = net.topology().expect("active plane has a topology");
-                    for &l in &links {
-                        events.emit(
-                            t,
-                            Event::FlowCompleted {
-                                task_id: None,
-                                link: topo.link_at(l).label(),
-                                bytes,
-                                locality: locality.label().to_string(),
-                            },
-                        );
-                    }
-                }
-            }
-            if t > *clock {
-                *clock = t;
-            }
+        while let Some(t) = st.net.next_event_time() {
+            st.net.step(t, &mut st.events);
+            st.clock = st.clock.max(t);
         }
-        self.inner.mem.lock().advance(*clock);
+        st.mem.advance(st.clock);
         Ok(copies.len())
     }
 }

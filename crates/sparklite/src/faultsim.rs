@@ -11,26 +11,43 @@
 //! exactly the code paths of no plan at all.
 //!
 //! The recovery half lives in the scheduler
-//! ([`scheduler::sim`](crate::scheduler)): bounded retries with backoff,
-//! stage resubmission on fetch failure, lineage recompute of cache blocks
-//! lost with a crashed executor, and first-finisher-wins speculation.
+//! ([`scheduler::recovery`](crate::scheduler)): bounded retries with
+//! backoff, stage resubmission on fetch failure, lineage recompute of cache
+//! blocks lost with a crashed executor, and first-finisher-wins speculation.
 //! [`FaultState`] is the per-context mutable side (which executors are
-//! alive, which blocks live where, accumulated [`RecoveryStats`]).
+//! alive, accumulated [`RecoveryStats`]).
 
-use crate::storage::BlockKey;
+use crate::scheduler::StageId;
 use memtier_des::SimTime;
 use memtier_memsim::NUM_TIERS;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// RNG salt: does this task attempt fail at completion?
-pub(crate) const SALT_TASK_FAIL: u64 = 0x7461736b;
+const SALT_TASK_FAIL: u64 = 0x7461736b;
 /// RNG salt: does this reduce attempt hit a fetch failure?
-pub(crate) const SALT_FETCH_FAIL: u64 = 0x6665746368;
+const SALT_FETCH_FAIL: u64 = 0x6665746368;
 /// RNG salt: is this task attempt a straggler?
-pub(crate) const SALT_STRAGGLER: u64 = 0x73747261;
+const SALT_STRAGGLER: u64 = 0x73747261;
 /// RNG salt: which parent map output does a fetch failure blame?
-pub(crate) const SALT_FETCH_VICTIM: u64 = 0x76696374;
+const SALT_FETCH_VICTIM: u64 = 0x76696374;
+
+/// The fate fault injection decided for one attempt at dispatch time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FailKind {
+    /// The attempt succeeds.
+    None,
+    /// The attempt fails at its completion instant.
+    Task,
+    /// The attempt hits a fetch failure blaming map output `victim` of map
+    /// stage `parent` at its completion instant.
+    Fetch {
+        /// The shuffle-map stage whose output was lost.
+        parent: StageId,
+        /// The map partition to recompute.
+        victim: usize,
+    },
+}
 
 /// One scheduled executor crash at a virtual-time instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -230,6 +247,36 @@ impl FaultPlan {
         h = splitmix(h ^ u64::from(attempt));
         (h >> 11) as f64 / (1u64 << 53) as f64
     }
+
+    /// Decide one attempt's fate up front: the straggler CPU multiplier, if
+    /// it straggles, and how it ends. Counter-based rolls, so the outcome
+    /// depends only on the plan seed and the attempt's coordinates — never
+    /// on event-queue order. A task failure pre-empts a fetch failure, and
+    /// a fetch failure needs `fetch_parent`: a `(stage, map tasks)` the
+    /// attempt read shuffle data from and that can actually be re-run.
+    pub fn fate(
+        &self,
+        job: u64,
+        (stage, partition): (StageId, usize),
+        attempt: u32,
+        fetch_parent: Option<(StageId, usize)>,
+    ) -> (Option<f64>, FailKind) {
+        let roll = |salt| self.roll(salt, job, stage.0, partition, attempt);
+        let hit = |salt, p: f64| p > 0.0 && roll(salt) < p;
+        let straggle = hit(SALT_STRAGGLER, self.straggler_prob).then_some(self.straggler_factor);
+        let fail = if hit(SALT_TASK_FAIL, self.task_failure_prob) {
+            FailKind::Task
+        } else if let Some((parent, maps)) =
+            fetch_parent.filter(|_| hit(SALT_FETCH_FAIL, self.fetch_failure_prob))
+        {
+            let victim =
+                ((roll(SALT_FETCH_VICTIM) * maps as f64) as usize).min(maps.saturating_sub(1));
+            FailKind::Fetch { parent, victim }
+        } else {
+            FailKind::None
+        };
+        (straggle, fail)
+    }
 }
 
 /// One step of the splitmix64 output function — the standard finalizer used
@@ -314,8 +361,8 @@ impl RecoveryStats {
 }
 
 /// Mutable fault-injection state for one context: which executors are
-/// alive, the crash schedule not yet applied, which executor owns each
-/// cached block, and the accumulated [`RecoveryStats`].
+/// alive, the crash schedule not yet applied, and the accumulated
+/// [`RecoveryStats`].
 #[derive(Debug)]
 pub struct FaultState {
     /// The plan, if any. `None` behaves exactly like a zero plan but skips
@@ -325,8 +372,6 @@ pub struct FaultState {
     pub alive: Vec<bool>,
     /// Crashes not yet applied, sorted by `(at, executor)`.
     pub pending_crashes: VecDeque<CrashEvent>,
-    /// Executor that computed (and therefore co-locates) each cached block.
-    pub block_owner: HashMap<BlockKey, usize>,
     /// Accumulated recovery costs.
     pub stats: RecoveryStats,
     /// Executor-occupancy spans of failed / killed / losing attempts, as
@@ -355,7 +400,6 @@ impl FaultState {
             plan,
             alive: vec![true; num_executors],
             pending_crashes: crashes.into(),
-            block_owner: HashMap::new(),
             stats: RecoveryStats::default(),
             waste_spans: Vec::new(),
         }

@@ -13,6 +13,7 @@
 //! [`TransferRecord`] log. [`NetState::conserves`] re-sums the records
 //! against the counters; cancelled transfers appear in neither.
 
+use crate::events::{Event, EventBus};
 use memtier_des::SimTime;
 use memtier_netsim::{Locality, LocalityMode, NetTopology, NetworkMode, NetworkPlane};
 use serde::{Deserialize, Serialize};
@@ -73,6 +74,20 @@ pub struct NetCharge {
     pub bytes: u64,
 }
 
+/// A charge resolved against the topology: what moves, and between which
+/// nodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NetRoute {
+    /// Traffic class.
+    pub kind: NetChargeKind,
+    /// Source node.
+    pub src: u32,
+    /// Destination node.
+    pub dst: u32,
+    /// Payload size.
+    pub bytes: u64,
+}
+
 /// Topology context handed to a task's [`TaskEnv`](crate::rdd::TaskEnv) so
 /// charge sites can rank replicas by closeness. Present only when a
 /// topology is configured.
@@ -107,15 +122,6 @@ pub struct TransferRecord {
     pub links: Vec<usize>,
     /// Whether this was lineage-recovery refetch traffic (task attempt > 0).
     pub refetch: bool,
-}
-
-/// An in-flight transfer's metadata (mirrors the plane's flow state).
-#[derive(Debug, Clone)]
-struct Pending {
-    task: Option<u64>,
-    kind: NetChargeKind,
-    locality: Locality,
-    refetch: bool,
 }
 
 /// Per-link serialized totals for the run report.
@@ -178,13 +184,11 @@ pub struct NetState {
     plane: Option<NetworkPlane>,
     locality: Option<LocalityMode>,
     next_transfer: u64,
-    /// transfer id → owning task (absent for driverless transfers).
-    pending: BTreeMap<u64, Pending>,
+    /// In-flight transfers by id: each one's record, complete but for its
+    /// completion instant.
+    pending: BTreeMap<u64, TransferRecord>,
     /// Completed transfers, in completion order.
     pub records: Vec<TransferRecord>,
-    /// Cached-block residency `(rdd, partition) → executor`, fed by the
-    /// scheduler's cache-insertion stream; drives node-local preferences.
-    pub block_owner: BTreeMap<(u32, usize), usize>,
     /// Charged bytes that resolved to co-located endpoints.
     node_local_bytes: u64,
 }
@@ -204,7 +208,6 @@ impl NetState {
             next_transfer: 0,
             pending: BTreeMap::new(),
             records: Vec::new(),
-            block_owner: BTreeMap::new(),
             node_local_bytes: 0,
         }
     }
@@ -217,11 +220,6 @@ impl NetState {
     /// The topology, when configured.
     pub fn topology(&self) -> Option<&NetTopology> {
         self.plane.as_ref().map(|p| p.topology())
-    }
-
-    /// The configured locality policy.
-    pub fn locality_mode(&self) -> Option<LocalityMode> {
-        self.locality
     }
 
     /// The delay-scheduling wait, when that policy is configured.
@@ -241,8 +239,8 @@ impl NetState {
         })
     }
 
-    /// Resolve a charge to `(src_node, dst_node)` for a task on `exec`.
-    pub fn resolve(&self, exec: usize, charge: &NetCharge) -> (u32, u32) {
+    /// Resolve a charge to its route for a task on `exec`.
+    pub fn resolve(&self, exec: usize, charge: &NetCharge) -> NetRoute {
         let t = self.topology().expect("resolving a charge without a plane");
         let here = t.node_of_executor(exec);
         let peer = match charge.peer {
@@ -250,10 +248,16 @@ impl NetState {
             NetPeer::Datanode(d) => t.node_of_datanode(d),
             NetPeer::Driver => t.driver_node(),
         };
-        if charge.inbound {
+        let (src, dst) = if charge.inbound {
             (peer, here)
         } else {
             (here, peer)
+        };
+        NetRoute {
+            kind: charge.kind,
+            src,
+            dst,
+            bytes: charge.bytes,
         }
     }
 
@@ -263,50 +267,80 @@ impl NetState {
     }
 
     /// Start a cross-node transfer at `now`, pacing its link flows at
-    /// `rate` bytes/s. Returns the transfer id, its dense link path, and
-    /// its locality class (for `FlowStarted` events).
+    /// `rate` bytes/s, and mirror one [`Event::FlowStarted`] per path link.
+    /// Returns the transfer id.
     ///
     /// # Panics
     /// Panics if no plane is configured or the endpoints co-locate.
-    #[allow(clippy::too_many_arguments)]
     pub fn begin(
         &mut self,
         now: SimTime,
+        events: &mut EventBus,
         task: Option<u64>,
-        kind: NetChargeKind,
-        src: u32,
-        dst: u32,
-        bytes: u64,
+        route: NetRoute,
         rate: f64,
         refetch: bool,
-    ) -> (u64, Vec<usize>, Locality) {
+    ) -> u64 {
+        let NetRoute {
+            src, dst, bytes, ..
+        } = route;
         let plane = self.plane.as_mut().expect("transfer without a plane");
         let id = self.next_transfer;
         self.next_transfer += 1;
         plane.begin_transfer(now, id, src, dst, bytes, rate);
         let topo = plane.topology();
-        let locality = topo.locality(src, dst);
-        let links: Vec<usize> = topo
-            .path(src, dst)
-            .into_iter()
-            .map(|l| topo.link_index(l))
-            .collect();
-        self.pending.insert(
-            id,
-            Pending {
-                task,
-                kind,
-                locality,
-                refetch,
-            },
-        );
-        (id, links, locality)
+        let rec = TransferRecord {
+            at: now,
+            task,
+            kind: route.kind,
+            src,
+            dst,
+            bytes,
+            locality: topo.locality(src, dst),
+            links: topo
+                .path(src, dst)
+                .into_iter()
+                .map(|l| topo.link_index(l))
+                .collect(),
+            refetch,
+        };
+        self.emit_per_link(events, now, &rec, true);
+        self.pending.insert(id, rec);
+        id
     }
 
-    /// Advance the plane's clock (no-op without a plane).
-    pub fn advance(&mut self, now: SimTime) {
-        if let Some(p) = self.plane.as_mut() {
-            p.advance(now);
+    /// One event per link of a transfer's path, labelled by the topology —
+    /// the only place link indices become `FlowStarted`/`FlowCompleted`.
+    fn emit_per_link(
+        &self,
+        events: &mut EventBus,
+        at: SimTime,
+        rec: &TransferRecord,
+        started: bool,
+    ) {
+        if !events.is_active() {
+            return;
+        }
+        let topo = self.topology().expect("flow event without a plane");
+        for &l in &rec.links {
+            let (task_id, link, bytes) = (rec.task, topo.link_at(l).label(), rec.bytes);
+            let locality = rec.locality.label().to_string();
+            let event = if started {
+                Event::FlowStarted {
+                    task_id,
+                    link,
+                    bytes,
+                    locality,
+                }
+            } else {
+                Event::FlowCompleted {
+                    task_id,
+                    link,
+                    bytes,
+                    locality,
+                }
+            };
+            events.emit(at, event);
         }
     }
 
@@ -316,26 +350,20 @@ impl NetState {
     }
 
     /// Process one link-drain event at `at`. `Some` when a transfer
-    /// completed: its record has been appended to [`records`](Self::records)
-    /// and is returned (borrowed) together with the owning task.
-    pub fn step(&mut self, at: SimTime) -> Option<&TransferRecord> {
+    /// completed: its record has been appended to [`records`](Self::records),
+    /// mirrored as one [`Event::FlowCompleted`] per path link, and is
+    /// returned (borrowed) together with the owning task.
+    pub fn step(&mut self, at: SimTime, events: &mut EventBus) -> Option<&TransferRecord> {
         let plane = self.plane.as_mut().expect("stepping without a plane");
         let done = plane.step(at)?;
-        let meta = self
+        let mut rec = self
             .pending
             .remove(&done.id)
             .expect("completed transfer without metadata");
-        self.records.push(TransferRecord {
-            at: done.at,
-            task: meta.task,
-            kind: meta.kind,
-            src: done.src,
-            dst: done.dst,
-            bytes: done.bytes,
-            locality: meta.locality,
-            links: done.links,
-            refetch: meta.refetch,
-        });
+        debug_assert_eq!(rec.links, done.links);
+        rec.at = done.at;
+        self.emit_per_link(events, at, &rec, false);
+        self.records.push(rec);
         self.records.last()
     }
 
@@ -351,11 +379,6 @@ impl NetState {
             .expect("cancelling without a plane")
             .cancel_transfer(now, id);
         true
-    }
-
-    /// Transfers currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
     }
 
     /// Exact-integer conservation: the per-link re-sum of completed
@@ -425,11 +448,6 @@ impl NetState {
             .collect();
         rep
     }
-
-    /// The plane's per-link byte counters (tests/diagnostics).
-    pub fn link_bytes(&self) -> Option<&[u64]> {
-        self.plane.as_ref().map(|p| p.link_bytes())
-    }
 }
 
 #[cfg(test)]
@@ -448,8 +466,27 @@ mod tests {
 
     fn drain(s: &mut NetState) {
         while let Some(t) = s.next_event_time() {
-            s.step(t);
+            s.step(t, &mut EventBus::new());
         }
+    }
+
+    fn begin(s: &mut NetState, task: Option<u64>, route: (NetChargeKind, u32, u32, u64)) -> u64 {
+        let (kind, src, dst, bytes) = route;
+        let refetch = kind == NetChargeKind::Broadcast;
+        let route = NetRoute {
+            kind,
+            src,
+            dst,
+            bytes,
+        };
+        s.begin(
+            SimTime::ZERO,
+            &mut EventBus::new(),
+            task,
+            route,
+            1000.0,
+            refetch,
+        )
     }
 
     #[test]
@@ -465,29 +502,12 @@ mod tests {
     #[test]
     fn records_conserve_against_link_counters() {
         let mut s = state();
-        let (_, links, loc) = s.begin(
-            SimTime::ZERO,
-            Some(7),
-            NetChargeKind::ShuffleFetch,
-            0,
-            2,
-            500,
-            1000.0,
-            false,
-        );
-        assert_eq!(links.len(), 4);
-        assert_eq!(loc, Locality::Remote);
-        s.begin(
-            SimTime::ZERO,
-            None,
-            NetChargeKind::Rereplicate,
-            0,
-            1,
-            300,
-            1000.0,
-            false,
-        );
+        begin(&mut s, Some(7), (NetChargeKind::ShuffleFetch, 0, 2, 500));
+        begin(&mut s, None, (NetChargeKind::Rereplicate, 0, 1, 300));
         drain(&mut s);
+        let fetch = s.records.iter().find(|r| r.task == Some(7)).unwrap();
+        assert_eq!(fetch.links.len(), 4);
+        assert_eq!(fetch.locality, Locality::Remote);
         assert!(s.conserves());
         let rep = s.report();
         assert_eq!(rep.transfers, 2);
@@ -503,16 +523,7 @@ mod tests {
     #[test]
     fn cancellation_is_guarded_and_uncounted() {
         let mut s = state();
-        let (id, _, _) = s.begin(
-            SimTime::ZERO,
-            Some(1),
-            NetChargeKind::Broadcast,
-            0,
-            1,
-            100,
-            10.0,
-            true,
-        );
+        let id = begin(&mut s, Some(1), (NetChargeKind::Broadcast, 0, 1, 100));
         assert!(s.cancel(SimTime::ZERO, id));
         assert!(
             !s.cancel(SimTime::ZERO, id),
@@ -543,20 +554,26 @@ mod tests {
             inbound: true,
             bytes: 10,
         };
-        assert_eq!(s.resolve(1, &inbound), (2, 1));
+        let r = s.resolve(1, &inbound);
+        assert_eq!((r.src, r.dst), (2, 1));
         let outbound = NetCharge {
             kind: NetChargeKind::DfsWrite,
             peer: NetPeer::Datanode(2),
             inbound: false,
             bytes: 10,
         };
-        assert_eq!(s.resolve(1, &outbound), (1, 2));
+        let r = s.resolve(1, &outbound);
+        assert_eq!((r.src, r.dst), (1, 2));
         let bcast = NetCharge {
             kind: NetChargeKind::Broadcast,
             peer: NetPeer::Driver,
             inbound: true,
             bytes: 10,
         };
-        assert_eq!(s.resolve(5, &bcast), (0, 1));
+        let r = s.resolve(5, &bcast);
+        assert_eq!(
+            (r.src, r.dst, r.kind, r.bytes),
+            (0, 1, NetChargeKind::Broadcast, 10)
+        );
     }
 }

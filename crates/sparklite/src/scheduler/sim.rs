@@ -1,7 +1,8 @@
-//! The discrete-event execution simulation (the time plane).
+//! The discrete-event execution simulation (the time plane): one run loop
+//! and the state it arbitrates over.
 //!
 //! A [`JobRunner`] takes a compiled [`StagePlan`] and plays it out on the
-//! executor grid and the simulated [`MemorySystem`]:
+//! executor grid and the simulated [`MemorySystem`](memtier_memsim::MemorySystem):
 //!
 //! * each executor is a pool of task slots (cores);
 //! * a dispatched task first runs its **data plane** (really computing the
@@ -13,32 +14,42 @@
 //!   dispatch overhead plus cross-executor coordination traffic — the
 //!   Takeaway-6 mechanisms.
 //!
+//! The runner is a loop plus three parts, each an `impl JobRunner` block in
+//! its own file over its own fields (DESIGN.md, "Scheduler anatomy"):
+//!
+//! * [`dispatch`](super::dispatch) — ready queues, slot rotation, delay
+//!   scheduling: *which* attempt goes *where* next;
+//! * [`launch`](super::launch) — data plane → pricing → fate → routing →
+//!   flow start: what one attempt costs and when it will end;
+//! * [`recovery`](super::recovery) — complete / fail / kill / crash /
+//!   speculate / abort: what happens when an attempt ends, either way.
+//!
+//! This file owns the clock ([`JobRunner::advance_to`] is the only place
+//! `now` moves), the three-way arbitration between CPU timers, memory
+//! completions and link drains (ties: cpu ≥ mem ≥ net), placement epochs
+//! and their migration copies. All of it borrows one [`RunState`].
+//!
 //! Everything is deterministic: ties in the event queue resolve FIFO, the
-//! executor choice rotates round-robin, and no wall-clock value is read.
+//! executor choice rotates round-robin, in-flight work is kept in id order
+//! by type, and no wall-clock value is read.
 
 use crate::error::{Result, SparkError};
-use crate::events::{Event, EventBus};
-use crate::faultsim::{
-    FaultState, SALT_FETCH_FAIL, SALT_FETCH_VICTIM, SALT_STRAGGLER, SALT_TASK_FAIL,
-};
-use crate::metrics::{AppMetrics, StageRollup, TaskMetrics};
-use crate::net::{NetChargeKind, NetState};
-use crate::profile::{
-    EvictionRecord, JobRecord, ProfileLog, StageRecord, TaskBreakdown, TaskRecord,
-};
-use crate::rdd::{Dep, RddBase, TaskEnv};
+use crate::events::Event;
+use crate::faultsim::FailKind;
+use crate::metrics::TaskMetrics;
+use crate::profile::{JobRecord, StageRecord};
+use crate::rdd::TaskEnv;
 use crate::runtime::Runtime;
-use crate::scheduler::dag::{StageId, StageKind, StagePlan};
+use crate::scheduler::dag::{StageId, StagePlan};
+use crate::scheduler::dispatch::Dispatcher;
+use crate::scheduler::epochs::Migrations;
 use crate::scheduler::executor::ExecutorSpec;
-use crate::shuffle::ShuffleId;
-use crate::storage::BlockKey;
-use crate::trace::{SpanKind, TaskSpan};
+use crate::scheduler::recovery::Recovery;
+use crate::scheduler::state::RunState;
 use memtier_des::{EngineProf, EventClass, EventQueue, ProfPhase, SimTime};
-use memtier_memsim::{
-    AccessBatch, MemorySystem, Migration, ObjectId, PlacementEngine, TierId, MIGRATION_FLOW_BASE,
-};
-use memtier_netsim::Locality;
-use std::collections::{HashMap, HashSet, VecDeque};
+use memtier_memsim::{AccessBatch, ObjectId, TierId, NUM_TIERS};
+use std::collections::BTreeMap;
+use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
 /// The outcome of one job.
@@ -51,83 +62,129 @@ pub struct JobOutcome<U> {
     pub stages_run: u64,
 }
 
-struct ExecState {
-    spec: ExecutorSpec,
-    running: usize,
+pub(super) struct ExecState {
+    pub(super) spec: ExecutorSpec,
+    pub(super) running: usize,
 }
 
-struct StageState {
-    remaining: usize,
-    unmet: usize,
-    children: Vec<StageId>,
-    done: bool,
+pub(super) struct StageState {
+    pub(super) remaining: usize,
+    pub(super) unmet: usize,
+    pub(super) children: Vec<StageId>,
+    pub(super) done: bool,
     /// Virtual instant the stage became runnable.
-    submitted: SimTime,
+    pub(super) submitted: SimTime,
     /// Tasks the stage will run (rollup bookkeeping).
-    tasks_total: u64,
+    pub(super) tasks_total: u64,
     /// Running sum of the stage's task metrics.
-    agg: TaskMetrics,
+    pub(super) agg: TaskMetrics,
     /// Per-partition completion (guards speculation races and lets a
     /// resubmitted map partition run again without re-completing others).
-    completed: Vec<bool>,
+    pub(super) completed: Vec<bool>,
     /// True once the stage completed for the first time — re-completions
     /// after a fetch-failure resubmission must not re-activate children or
     /// push a second rollup.
-    first_completed: bool,
+    pub(super) first_completed: bool,
     /// Durations of successfully finished tasks (speculation's median).
-    finished_durations: Vec<SimTime>,
+    pub(super) finished_durations: Vec<SimTime>,
 }
 
-/// The fate fault injection decided for one attempt at dispatch time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FailKind {
-    /// The attempt succeeds.
-    None,
-    /// The attempt fails at its completion instant.
-    Task,
-    /// The attempt hits a fetch failure blaming `victim` of map stage
-    /// `parent` at its completion instant.
-    Fetch { parent: StageId, victim: usize },
+/// Per-stage progress, indexed by [`StageId`], plus the two counts the loop
+/// reads off it.
+#[derive(Default)]
+pub(super) struct Stages {
+    state: Vec<StageState>,
+    /// Stages not yet done. Zero is the one definition of "this job is
+    /// finished"; kept as a count so nothing scans for it.
+    pub(super) pending: usize,
+    /// Stages activated so far (skipped ones never are).
+    pub(super) run: u64,
 }
 
-struct RunningTask<U> {
-    exec: usize,
-    stage: StageId,
-    partition: usize,
-    slot: usize,
-    started: SimTime,
+impl Stages {
+    /// Flip a stage's `done` flag, keeping `pending` in step (a stage that
+    /// was done and no longer is adds one; the reverse takes one away).
+    pub(super) fn set_done(&mut self, id: StageId, done: bool) {
+        let was = std::mem::replace(&mut self.state[id.0 as usize].done, done);
+        self.pending = self.pending + usize::from(was) - usize::from(done);
+    }
+}
+
+impl Index<StageId> for Stages {
+    type Output = StageState;
+    fn index(&self, id: StageId) -> &StageState {
+        &self.state[id.0 as usize]
+    }
+}
+
+impl IndexMut<StageId> for Stages {
+    fn index_mut(&mut self, id: StageId) -> &mut StageState {
+        &mut self.state[id.0 as usize]
+    }
+}
+
+/// A task's memory flows are numbered `task_id << FLOW_SLOT_BITS | slot`,
+/// one slot per tier it touches, so a completing flow names its owner
+/// (`flow >> FLOW_SLOT_BITS`) without a side table.
+pub(super) const FLOW_SLOT_BITS: u32 = 3;
+const _: () = assert!(NUM_TIERS <= 1 << FLOW_SLOT_BITS);
+
+/// One in-flight memory flow of a task.
+#[derive(Debug, Clone, PartialEq)]
+pub(super) struct TaskFlow {
+    pub(super) tier: TierId,
+    pub(super) id: u64,
+    pub(super) batch: AccessBatch,
+    /// Per-object parts of `batch`. They partition it exactly, so the
+    /// attribution ledger conserves against the machine counters. Taken
+    /// (left empty) when the flow completes.
+    pub(super) parts: Vec<(ObjectId, AccessBatch)>,
+    /// True once the flow was fully charged (or never entered the memory
+    /// system): a teardown must not cancel — and double-count — it.
+    pub(super) drained: bool,
+}
+
+pub(super) struct RunningTask<U> {
+    pub(super) exec: usize,
+    pub(super) stage: StageId,
+    pub(super) partition: usize,
+    pub(super) slot: usize,
+    pub(super) started: SimTime,
     /// Modeled CPU span (dispatch overhead + data-plane CPU, inflated by
     /// JVM contention) — the compute part of the task's breakdown.
-    cpu: SimTime,
+    pub(super) cpu: SimTime,
     /// The contention inflation factor applied to `cpu`, kept so the
     /// shuffle-fetch share of the CPU phase inflates consistently.
-    cpu_factor: f64,
-    outstanding: usize,
-    metrics: TaskMetrics,
-    /// (tier, flow id, batch, per-object parts of the batch) for each
-    /// in-flight memory flow. The parts partition the batch exactly, so the
-    /// attribution ledger conserves against the machine counters.
-    flows: Vec<(TierId, u64, AccessBatch, Vec<(ObjectId, AccessBatch)>)>,
+    pub(super) cpu_factor: f64,
+    /// Memory flows and network transfers still draining; the task
+    /// completes when the last one does.
+    pub(super) pending: usize,
+    pub(super) metrics: TaskMetrics,
+    pub(super) flows: Vec<TaskFlow>,
     /// Result-stage output parked until completion (already computed on the
     /// data plane; stored at completion purely for bookkeeping symmetry).
-    result: Option<(usize, U)>,
+    pub(super) result: Option<U>,
     /// Zero-based attempt number of this dispatch.
-    attempt: u32,
+    pub(super) attempt: u32,
     /// The fate fault injection rolled for this attempt at dispatch.
-    fail: FailKind,
+    pub(super) fail: FailKind,
     /// True for speculative clones of stragglers.
-    speculative: bool,
-    /// Transfer ids of the task's in-flight network flows.
-    transfers: Vec<u64>,
-    /// Transfers still draining; the task completes only when both its
-    /// memory flows and its transfers are done.
-    net_outstanding: usize,
+    pub(super) speculative: bool,
+    /// Transfer ids of the task's network flows.
+    pub(super) transfers: Vec<u64>,
     /// Nominal (uncontended) network time — the breakdown's net share is
     /// apportioned against this alongside the per-tier stall nominals.
-    net_nominal: SimTime,
+    pub(super) net_nominal: SimTime,
 }
 
-enum Ev {
+impl<U> RunningTask<U> {
+    /// True when some other attempt in `running` works on `(stage, part)`.
+    pub(super) fn covers(&self, stage: StageId, part: usize) -> bool {
+        self.stage == stage && self.partition == part
+    }
+}
+
+pub(super) enum Ev {
     CpuDone(u64),
     /// A failed attempt's backoff expired: re-queue (stage, partition).
     Retry(StageId, usize),
@@ -142,102 +199,52 @@ enum Ev {
 /// Runs one job's stage plan through the DES. `U` is the per-partition
 /// result type of the action.
 pub struct JobRunner<'a, U> {
-    rt: &'a Runtime,
-    mem: &'a mut MemorySystem,
-    /// The placement engine: routes each object's traffic (static engines
-    /// pass the executor split through untouched) and decides migrations
-    /// at epoch boundaries.
-    engine: &'a mut PlacementEngine,
-    app: &'a mut AppMetrics,
-    plan: StagePlan,
-    result_fn: Arc<dyn Fn(usize, &mut TaskEnv<'_>) -> U + Send + Sync>,
-    executors: Vec<ExecState>,
-    stage_state: Vec<StageState>,
-    ready: VecDeque<(StageId, usize)>,
-    queue: EventQueue<Ev>,
-    now: SimTime,
-    running: HashMap<u64, RunningTask<U>>,
-    flow_owner: HashMap<u64, u64>,
-    /// In-flight migration copies: flow id → (tier, batch). Migration
-    /// flows live in the [`MIGRATION_FLOW_BASE`] namespace, disjoint from
-    /// task flows, and are attributed to [`ObjectId::Migration`].
-    migration_flows: HashMap<u64, (TierId, AccessBatch)>,
-    migration_seq: u64,
-    results: Vec<Option<(usize, U)>>,
-    next_task: u64,
-    rr_exec: usize,
-    stages_run: u64,
-    job_seq: u64,
-    /// Virtual instant the job entered the scheduler (for the profiler's
-    /// job record).
-    submitted_at: SimTime,
-    trace: Option<&'a mut Vec<TaskSpan>>,
-    events: &'a mut EventBus,
-    rollups: &'a mut Vec<StageRollup>,
-    profile: &'a mut ProfileLog,
-    /// Fault-injection state shared across the context's jobs: executor
-    /// liveness, the crash schedule, cache-block ownership, recovery stats.
-    faults: &'a mut FaultState,
-    /// The network plane shared across the context's jobs: topology, link
-    /// resources, transfer ledger, and cached-block residency. Inert (all
-    /// methods no-ops) under the default loopback mode.
-    net: &'a mut NetState,
-    /// Instants (in ps) with a LocalityRelax wake-up already queued, so a
-    /// stalled dispatch round schedules each relax boundary only once.
-    relax_scheduled: HashSet<u64>,
-    /// Failed attempts per (stage, partition) — the retry budget's counter
-    /// and the coordinate that de-correlates each retry's fault rolls.
-    attempts: HashMap<(u32, usize), u32>,
-    /// Reduce tasks parked on a fetch failure, each awaiting a parent map
-    /// stage to become whole again.
-    parked: Vec<(StageId, usize, StageId)>,
-    /// Map partitions already queued for fetch-failure recompute (avoid
-    /// resubmitting the same victim twice).
-    resubmit_pending: HashSet<(u32, usize)>,
-    /// Speculative clones awaiting a slot: (stage, partition, original).
-    spec_ready: VecDeque<(StageId, usize, u64)>,
-    /// Partitions already cloned once (Spark speculates each task at most
-    /// once at a time; we keep it to once per run for determinism).
-    speculated: HashSet<(u32, usize)>,
-    /// A structured error that must abort the job (retry exhaustion,
-    /// cluster death): checked at the top of the run loop.
-    fatal: Option<SparkError>,
+    pub(super) rt: &'a Runtime,
+    /// Everything shared across the context's jobs: memory system,
+    /// placement engine, metrics, trace, events, profiler log, fault state,
+    /// network plane, block residency.
+    pub(super) st: &'a mut RunState,
+    pub(super) plan: StagePlan,
+    pub(super) result_fn: Arc<dyn Fn(usize, &mut TaskEnv<'_>) -> U + Send + Sync>,
+    pub(super) executors: Vec<ExecState>,
+    pub(super) stages: Stages,
+    pub(super) queue: EventQueue<Ev>,
+    pub(super) now: SimTime,
+    /// In-flight attempts by task id; ordered, so every sweep over them is
+    /// in id order by type.
+    pub(super) running: BTreeMap<u64, RunningTask<U>>,
+    pub(super) results: Vec<Option<U>>,
+    pub(super) next_task: u64,
+    /// The profiler's record of this job: its sequence number and
+    /// submission instant now, its completion instant at the end.
+    pub(super) job: JobRecord,
     /// Engine self-profiler, cloned from the memory system's handle (shared
     /// collector). Disabled unless the run enabled profiling; wall-clock
     /// only, never consulted by simulation logic.
-    prof: EngineProf,
+    pub(super) prof: EngineProf,
+    pub(super) dispatch: Dispatcher,
+    pub(super) recovery: Recovery,
+    pub(super) migrations: Migrations,
 }
 
 impl<'a, U> JobRunner<'a, U> {
-    /// Prepare a runner starting at virtual time `start`.
-    #[allow(clippy::too_many_arguments)]
+    /// Prepare a runner for the context's next job, starting at its clock.
     pub fn new(
         rt: &'a Runtime,
-        mem: &'a mut MemorySystem,
-        engine: &'a mut PlacementEngine,
-        app: &'a mut AppMetrics,
+        st: &'a mut RunState,
         executors: &[ExecutorSpec],
         plan: StagePlan,
         result_fn: Arc<dyn Fn(usize, &mut TaskEnv<'_>) -> U + Send + Sync>,
-        start: SimTime,
-        job_seq: u64,
-        trace: Option<&'a mut Vec<TaskSpan>>,
-        events: &'a mut EventBus,
-        rollups: &'a mut Vec<StageRollup>,
-        profile: &'a mut ProfileLog,
-        faults: &'a mut FaultState,
-        net: &'a mut NetState,
     ) -> Self {
         let n = plan.stages.len();
         let result_tasks = plan.stages[n - 1].num_tasks;
-        let prof = mem.engine_prof().clone();
+        let prof = st.mem.engine_prof().clone();
         let mut queue = EventQueue::new();
         queue.set_prof(prof.clone());
+        let (now, job) = (st.clock, st.app.jobs);
         let mut runner = JobRunner {
             rt,
-            mem,
-            engine,
-            app,
+            st,
             plan,
             result_fn,
             executors: executors
@@ -247,46 +254,44 @@ impl<'a, U> JobRunner<'a, U> {
                     running: 0,
                 })
                 .collect(),
-            stage_state: Vec::new(),
-            ready: VecDeque::new(),
+            stages: Stages::default(),
             queue,
-            now: start,
-            running: HashMap::new(),
-            flow_owner: HashMap::new(),
-            migration_flows: HashMap::new(),
-            migration_seq: 0,
+            now,
+            running: BTreeMap::new(),
             results: (0..result_tasks).map(|_| None).collect(),
             next_task: 0,
-            rr_exec: 0,
-            stages_run: 0,
-            job_seq,
-            submitted_at: start,
-            trace,
-            events,
-            rollups,
-            profile,
-            faults,
-            net,
-            relax_scheduled: HashSet::new(),
-            attempts: HashMap::new(),
-            parked: Vec::new(),
-            resubmit_pending: HashSet::new(),
-            spec_ready: VecDeque::new(),
-            speculated: HashSet::new(),
-            fatal: None,
+            job: JobRecord {
+                job,
+                submitted: now,
+                completed: now,
+            },
             prof,
+            dispatch: Dispatcher::default(),
+            recovery: Recovery::default(),
+            migrations: Migrations::default(),
         };
-        if runner.events.is_active() {
-            runner.events.emit(
-                runner.now,
-                Event::JobSubmitted {
-                    job: runner.job_seq,
-                    stages: runner.plan.stages.len() as u64,
-                },
-            );
-        }
+        runner.emit(|r| Event::JobSubmitted {
+            job,
+            stages: r.plan.stages.len() as u64,
+        });
         runner.init_stages();
         runner
+    }
+
+    /// Emit a lifecycle event at the current instant. `make` runs only when
+    /// a sink is attached, so an inert bus costs one branch.
+    pub(super) fn emit(&mut self, make: impl FnOnce(&Self) -> Event) {
+        if self.st.events.is_active() {
+            let event = make(self);
+            self.st.events.emit(self.now, event);
+        }
+    }
+
+    /// Move the clock — the only place `now` is assigned. The memory system
+    /// follows; the network plane advances itself when it is stepped.
+    pub(super) fn advance_to(&mut self, t: SimTime) {
+        self.now = t;
+        self.st.mem.advance(t);
     }
 
     fn init_stages(&mut self) {
@@ -307,7 +312,7 @@ impl<'a, U> JobRunner<'a, U> {
             }
         }
 
-        self.stage_state = (0..n)
+        self.stages.state = (0..n)
             .map(|i| StageState {
                 remaining: self.plan.stages[i].num_tasks,
                 unmet: 0,
@@ -321,21 +326,21 @@ impl<'a, U> JobRunner<'a, U> {
                 finished_durations: Vec::new(),
             })
             .collect();
+        self.stages.pending = self.stages.state.iter().filter(|s| !s.done).count();
         for i in 0..n {
-            if self.stage_state[i].done {
+            if self.stages.state[i].done {
                 continue;
             }
             let parents: Vec<StageId> = self.plan.stages[i].parents.clone();
             for p in parents {
-                let pi = p.0 as usize;
-                if !self.stage_state[pi].done {
-                    self.stage_state[i].unmet += 1;
-                    self.stage_state[pi].children.push(StageId(i as u32));
+                if !self.stages[p].done {
+                    self.stages.state[i].unmet += 1;
+                    self.stages[p].children.push(StageId(i as u32));
                 }
             }
         }
         for i in 0..n {
-            if !self.stage_state[i].done && self.stage_state[i].unmet == 0 {
+            if !self.stages.state[i].done && self.stages.state[i].unmet == 0 {
                 self.activate_stage(StageId(i as u32), None);
             }
         }
@@ -345,1233 +350,24 @@ impl<'a, U> JobRunner<'a, U> {
     /// completion met the stage's last dependency (`None` when the stage was
     /// runnable at job submission) — the DAG edge the critical-path walk in
     /// [`crate::profile`] follows backwards.
-    fn activate_stage(&mut self, id: StageId, activated_by: Option<u64>) {
-        let stage = &self.plan.stages[id.0 as usize];
-        self.stages_run += 1;
-        let num_tasks = stage.num_tasks;
-        for part in 0..num_tasks {
-            self.ready.push_back((id, part));
-        }
-        self.stage_state[id.0 as usize].submitted = self.now;
-        self.profile.stages.push(StageRecord {
-            job: self.job_seq,
+    pub(super) fn activate_stage(&mut self, id: StageId, activated_by: Option<u64>) {
+        let num_tasks = self.plan.stages[id.0 as usize].num_tasks;
+        self.stages.run += 1;
+        self.dispatch
+            .ready
+            .extend((0..num_tasks).map(|part| (id, part)));
+        self.stages[id].submitted = self.now;
+        self.st.profile.stages.push(StageRecord {
+            job: self.job.job,
             stage: id.0,
             submitted: self.now,
             activated_by,
         });
-        if self.events.is_active() {
-            self.events.emit(
-                self.now,
-                Event::StageSubmitted {
-                    job: self.job_seq,
-                    stage: id.0,
-                    tasks: num_tasks as u64,
-                },
-            );
-        }
-    }
-
-    /// Split a task's traffic across its executor's tier placement, giving
-    /// rounding remainders to the first (primary) tier.
-    fn split_traffic(
-        batch: &AccessBatch,
-        placement: &[(TierId, f64)],
-    ) -> Vec<(TierId, AccessBatch)> {
-        if placement.len() == 1 {
-            return vec![(placement[0].0, *batch)];
-        }
-        let mut out = Vec::with_capacity(placement.len());
-        let mut assigned = AccessBatch::EMPTY;
-        for &(tier, w) in placement.iter().skip(1) {
-            let sub = AccessBatch {
-                reads: (batch.reads as f64 * w).floor() as u64,
-                writes: (batch.writes as f64 * w).floor() as u64,
-                bytes_read: (batch.bytes_read as f64 * w).floor() as u64,
-                bytes_written: (batch.bytes_written as f64 * w).floor() as u64,
-                random_reads: (batch.random_reads as f64 * w).floor() as u64,
-                random_writes: (batch.random_writes as f64 * w).floor() as u64,
-            };
-            assigned += sub;
-            out.push((tier, sub));
-        }
-        let first = AccessBatch {
-            reads: batch.reads - assigned.reads,
-            writes: batch.writes - assigned.writes,
-            bytes_read: batch.bytes_read - assigned.bytes_read,
-            bytes_written: batch.bytes_written - assigned.bytes_written,
-            random_reads: batch.random_reads - assigned.random_reads,
-            random_writes: batch.random_writes - assigned.random_writes,
-        };
-        out.insert(0, (placement[0].0, first));
-        out
-    }
-
-    fn dispatch(&mut self) {
-        // Delay scheduling only engages on a real multi-node topology: on a
-        // single node (or under loopback) every placement is node-local, so
-        // the round-robin path below runs unchanged and stays byte-identical
-        // to pre-network-plane runs.
-        let delay = if self.net.topology().is_some_and(|t| t.nodes > 1) {
-            self.net.delay_wait()
-        } else {
-            None
-        };
-        loop {
-            if self.fatal.is_some() {
-                return;
-            }
-            // Drop work whose partition already completed: speculative
-            // clones queued behind an original that finished first, retries
-            // obsoleted by a rival attempt.
-            while let Some(&(s, p)) = self.ready.front() {
-                if self.stage_state[s.0 as usize].completed[p] {
-                    self.ready.pop_front();
-                } else {
-                    break;
-                }
-            }
-            while let Some(&(s, p, _)) = self.spec_ready.front() {
-                if self.stage_state[s.0 as usize].completed[p] {
-                    self.spec_ready.pop_front();
-                } else {
-                    break;
-                }
-            }
-            let mut from_spec = self.ready.is_empty();
-            if from_spec && self.spec_ready.is_empty() {
-                return;
-            }
-            if let (Some(wait), false) = (delay, from_spec) {
-                if self.dispatch_local(wait) {
-                    continue;
-                }
-                if self.spec_ready.is_empty() {
-                    return;
-                }
-                // Every ready task is holding out for a better-placed slot;
-                // let a waiting speculative clone use the idle capacity.
-                from_spec = true;
-            }
-            // Rotate over live executors looking for a free slot.
-            let n = self.executors.len();
-            let mut chosen = None;
-            for off in 0..n {
-                let i = (self.rr_exec + off) % n;
-                if self.faults.alive[i] && self.executors[i].running < self.executors[i].spec.cores
-                {
-                    chosen = Some(i);
-                    break;
-                }
-            }
-            let Some(exec_idx) = chosen else { return };
-            self.rr_exec = (exec_idx + 1) % n;
-            if from_spec {
-                let (stage_id, part, original) =
-                    self.spec_ready.pop_front().expect("checked non-empty");
-                self.launch_task(stage_id, part, exec_idx, Some(original));
-            } else {
-                let (stage_id, part) = self.ready.pop_front().expect("checked non-empty");
-                self.launch_task(stage_id, part, exec_idx, None);
-            }
-        }
-    }
-
-    /// One locality-aware dispatch round (delay scheduling): scan the ready
-    /// queue in order and launch the first task with an admissible
-    /// placement. A task with preferred nodes may only take a slot whose
-    /// locality level (node-local 0, rack-local 1, remote 2) is within the
-    /// level its wait has unlocked — `(now - submitted) / wait` levels, in
-    /// integer picoseconds. Tasks with no residency anywhere place exactly
-    /// like the round-robin path. Returns true when a task launched; false
-    /// when nothing is admissible right now (after queueing a
-    /// [`Ev::LocalityRelax`] wake-up for the earliest unlock instant).
-    fn dispatch_local(&mut self, wait: SimTime) -> bool {
-        let n = self.executors.len();
-        let free: Vec<usize> = (0..n)
-            .map(|off| (self.rr_exec + off) % n)
-            .filter(|&i| {
-                self.faults.alive[i] && self.executors[i].running < self.executors[i].spec.cores
-            })
-            .collect();
-        if free.is_empty() {
-            return false;
-        }
-        let topo = self
-            .net
-            .topology()
-            .expect("delay scheduling without a topology")
-            .clone();
-        let wait_ps = wait.as_ps().max(1);
-        let mut relax_at: Option<SimTime> = None;
-        let mut chosen: Option<(usize, usize)> = None; // (queue index, executor)
-        for (qi, &(stage, part)) in self.ready.iter().enumerate() {
-            if self.stage_state[stage.0 as usize].completed[part] {
-                continue;
-            }
-            let prefs = self.preferred_nodes(stage, part);
-            if prefs.is_empty() {
-                // No residency anywhere: first free slot in rotation order,
-                // exactly the executor round-robin would have picked.
-                chosen = Some((qi, free[0]));
-                break;
-            }
-            let submitted = self.stage_state[stage.0 as usize].submitted;
-            let allowed = ((self.now - submitted).as_ps() / wait_ps).min(2);
-            // Best locality among free executors; the first hit in rotation
-            // order wins ties, keeping the choice deterministic.
-            let (best_exec, best_rank) = free
-                .iter()
-                .map(|&e| {
-                    let node = topo.node_of_executor(e);
-                    let rank = prefs
-                        .iter()
-                        .map(|&p| locality_rank(topo.locality(node, p)))
-                        .min()
-                        .expect("non-empty preference list");
-                    (e, rank)
-                })
-                .min_by_key(|&(_, rank)| rank)
-                .expect("non-empty free list");
-            if best_rank <= allowed {
-                chosen = Some((qi, best_exec));
-                break;
-            }
-            // Not admissible yet: note when its next level unlocks.
-            let next = submitted + SimTime::from_ps(wait_ps.saturating_mul(allowed + 1));
-            relax_at = Some(relax_at.map_or(next, |r| r.min(next)));
-        }
-        match chosen {
-            Some((qi, exec_idx)) => {
-                let (stage, part) = self.ready.remove(qi).expect("indexed task vanished");
-                self.rr_exec = (exec_idx + 1) % n;
-                self.launch_task(stage, part, exec_idx, None);
-                true
-            }
-            None => {
-                if let Some(at) = relax_at {
-                    if self.relax_scheduled.insert(at.as_ps()) {
-                        self.queue.schedule(at, Ev::LocalityRelax);
-                    }
-                }
-                false
-            }
-        }
-    }
-
-    /// Preferred topology nodes for (stage, partition), in priority order: a
-    /// cached block along the task's narrow lineage (the node of the
-    /// executor that produced it), else the map executor contributing the
-    /// most shuffle bytes to this reduce, else the datanodes holding the
-    /// partition's DFS input blocks. The narrow walk assumes partition
-    /// indices line up parent-to-child, which holds for the one-to-one
-    /// narrow ops; unions and coalesces only weaken the hint, never
-    /// correctness. Empty when the plane is off or nothing is resident.
-    fn preferred_nodes(&self, stage: StageId, part: usize) -> Vec<u32> {
-        let Some(topo) = self.net.topology() else {
-            return Vec::new();
-        };
-        let mut shuffles: Vec<ShuffleId> = Vec::new();
-        let mut replicas: Vec<u32> = Vec::new();
-        let mut stack: Vec<Arc<dyn RddBase>> =
-            vec![Arc::clone(&self.plan.stages[stage.0 as usize].terminal)];
-        let mut seen: HashSet<u32> = HashSet::new();
-        while let Some(node) = stack.pop() {
-            if !seen.insert(node.id().0) {
-                continue;
-            }
-            if node.storage_level().is_cached() {
-                if let Some(&exec) = self.net.block_owner.get(&(node.id().0, part)) {
-                    return vec![topo.node_of_executor(exec)];
-                }
-            }
-            for r in node.preferred_replicas(part) {
-                replicas.push(topo.node_of_datanode(r));
-            }
-            for dep in node.deps() {
-                match dep {
-                    Dep::Narrow(p) => stack.push(p),
-                    Dep::Shuffle(d) => shuffles.push(d.shuffle_id),
-                }
-            }
-        }
-        let mut best: Option<(u64, usize)> = None;
-        for sid in shuffles {
-            for (exec, bytes) in self.rt.shuffle.reduce_sources(sid, part) {
-                if bytes == 0 {
-                    continue;
-                }
-                let better = match best {
-                    Some((bb, be)) => bytes > bb || (bytes == bb && exec < be),
-                    None => true,
-                };
-                if better {
-                    best = Some((bytes, exec));
-                }
-            }
-        }
-        if let Some((_, exec)) = best {
-            return vec![topo.node_of_executor(exec)];
-        }
-        replicas.sort_unstable();
-        replicas.dedup();
-        replicas
-    }
-
-    /// Dispatch one attempt of (stage, partition) onto a free slot of
-    /// `exec_idx`. `spec_of` marks a speculative clone of the given
-    /// original task: clones re-run the data plane (idempotently — shuffle
-    /// bucket writes overwrite with identical bytes, cache puts replace)
-    /// but never roll fault injection, since re-rolling the straggling
-    /// original's coordinates would just straggle identically.
-    fn launch_task(
-        &mut self,
-        stage_id: StageId,
-        part: usize,
-        exec_idx: usize,
-        spec_of: Option<u64>,
-    ) {
-        self.prof.count_event(EventClass::TaskDispatch);
-        // Data plane: really compute the partition.
-        let cache_before = self
-            .events
-            .is_active()
-            .then(|| self.rt.cache.stats())
-            .unwrap_or_default();
-        let mut env = TaskEnv::new(self.rt);
-        env.net_ctx = self.net.task_ctx(exec_idx);
-        let mut result = None;
-        match &self.plan.stages[stage_id.0 as usize].kind {
-            StageKind::ShuffleMap(dep) => {
-                dep.writer.write_partition(part, &mut env);
-                self.rt.shuffle.mark_map_done(dep.shuffle_id, part);
-                // Residency bookkeeping for the network plane: the latest
-                // writer of a map output is where a reduce fetches it from.
-                self.rt
-                    .shuffle
-                    .record_map_exec(dep.shuffle_id, part, exec_idx);
-            }
-            StageKind::Result => {
-                let out = (self.result_fn)(part, &mut env);
-                result = Some((part, out));
-            }
-        }
-        let mut metrics = env.metrics;
-        let mut object_traffic = env.object_traffic;
-        let net_charges = env.net_charges;
-        let evicted_blocks = self.rt.cache.take_evictions();
-        // Always-on profiler records (like tasks/stages/jobs): the doctor's
-        // eviction-churn series must exist inside the byte-identity domain,
-        // unlike the opt-in event-bus mirror further down.
-        for ev in &evicted_blocks {
-            self.profile.evictions.push(EvictionRecord {
-                at: self.now,
-                rdd: ev.key.0,
-                partition: ev.key.1,
-                bytes: ev.bytes,
-                spilled: ev.spilled,
-            });
-        }
-        // Lineage bookkeeping: remember which executor produced each
-        // newly cached block, so a crash can drop exactly its blocks.
-        let inserted = self.rt.cache.take_insertions();
-        if self.faults.plan.is_some() {
-            for (key, _) in &inserted {
-                self.faults.block_owner.insert(*key, exec_idx);
-            }
-        }
-        if self.net.active() {
-            for (key, _) in &inserted {
-                self.net.block_owner.insert(*key, exec_idx);
-            }
-        }
-
-        // Time plane: dispatch overhead, coordination traffic, JVM
-        // contention.
-        metrics.cpu_ns += self.rt.cost.task_dispatch_ns;
-        let n_exec = self.executors.len() as u64;
-        if n_exec > 1 {
-            let coord = self.rt.cost.coord_bytes_per_task * (n_exec - 1);
-            let coord_batch = AccessBatch::sequential_write(coord);
-            metrics.traffic += coord_batch;
-            metrics.output_bytes += coord;
-            *object_traffic.entry(ObjectId::Scratch).or_default() += coord_batch;
-        }
-        let co_running = self.executors[exec_idx].running;
-        let factor = 1.0 + self.rt.cost.jvm_contention_alpha * co_running as f64;
-        let cpu = SimTime::from_ns_f64(metrics.cpu_ns * factor);
-
-        // Fault injection: decide this attempt's fate up front with
-        // counter-based rolls, so the outcome depends only on the plan
-        // seed and the task's coordinates — never on event-queue order.
-        // Speculative clones skip the rolls: re-rolling the straggling
-        // original's coordinates would just straggle identically.
-        let attempt = self.attempts.get(&(stage_id.0, part)).copied().unwrap_or(0);
-        let mut cpu = cpu;
-        let mut fail = FailKind::None;
-        if spec_of.is_none() {
-            if let Some(plan) = self.faults.plan.clone() {
-                let job = self.job_seq;
-                let sid = stage_id.0;
-                if plan.straggler_prob > 0.0
-                    && plan.roll(SALT_STRAGGLER, job, sid, part, attempt) < plan.straggler_prob
-                {
-                    cpu = cpu.mul_f64(plan.straggler_factor);
-                }
-                if plan.task_failure_prob > 0.0
-                    && plan.roll(SALT_TASK_FAIL, job, sid, part, attempt) < plan.task_failure_prob
-                {
-                    fail = FailKind::Task;
-                } else if plan.fetch_failure_prob > 0.0
-                    && metrics.shuffle_read_bytes > 0
-                    && plan.roll(SALT_FETCH_FAIL, job, sid, part, attempt) < plan.fetch_failure_prob
-                {
-                    // A fetch failure implicates one map output of a
-                    // shuffle parent that actually ran in this plan.
-                    // Skippable parents stay in the plan (their stage
-                    // entries carry the cached shuffle's metadata) but
-                    // never launch tasks, so resubmitting one could never
-                    // complete; their outputs are treated as durable.
-                    let parent = self.plan.stages[stage_id.0 as usize]
-                        .parents
-                        .iter()
-                        .copied()
-                        .find(|p| {
-                            let s = &self.plan.stages[p.0 as usize];
-                            matches!(s.kind, StageKind::ShuffleMap(_)) && !s.skippable
-                        });
-                    if let Some(parent) = parent {
-                        let maps = self.plan.stages[parent.0 as usize].num_tasks;
-                        let victim = ((plan.roll(SALT_FETCH_VICTIM, job, sid, part, attempt)
-                            * maps as f64) as usize)
-                            .min(maps.saturating_sub(1));
-                        fail = FailKind::Fetch { parent, victim };
-                    }
-                }
-            }
-        }
-
-        self.executors[exec_idx].running += 1;
-        let task_id = self.next_task;
-        self.next_task += 1;
-
-        let placement = self.executors[exec_idx].spec.placement.clone();
-        let socket = self.executors[exec_idx].spec.socket;
-        // Route each object's traffic through the placement engine and
-        // split it across the returned tiers, accumulating per-tier
-        // aggregates alongside their per-object parts. The parts
-        // partition each flow's batch exactly, which is what lets the
-        // attribution ledger conserve against the machine counters.
-        //
-        // Slots are seeded from the executor's static split and grown
-        // by first appearance for tiers only the engine routes to. A
-        // static engine returns the executor split for every object, so
-        // every per-object split lands on the seeded slots in order and
-        // the aggregate flows — and therefore all timing — are
-        // byte-identical to the pre-engine behaviour of splitting the
-        // task total.
-        let dynamic = self.engine.is_dynamic();
-        let mut per_tier: Vec<(TierId, AccessBatch, Vec<(ObjectId, AccessBatch)>)> = placement
-            .iter()
-            .map(|&(tier, _)| (tier, AccessBatch::EMPTY, Vec::new()))
-            .collect();
-        for (&object, obj_batch) in &object_traffic {
-            let routed: Vec<(TierId, f64)>;
-            let split = if dynamic {
-                routed = self
-                    .engine
-                    .placement_for(object, self.mem.topology(), socket, &placement);
-                &routed[..]
-            } else {
-                &placement[..]
-            };
-            for (tier, part) in Self::split_traffic(obj_batch, split) {
-                if part.is_empty() {
-                    continue;
-                }
-                let slot = match per_tier.iter().position(|(t, _, _)| *t == tier) {
-                    Some(i) => i,
-                    None => {
-                        per_tier.push((tier, AccessBatch::EMPTY, Vec::new()));
-                        per_tier.len() - 1
-                    }
-                };
-                per_tier[slot].1 += part;
-                per_tier[slot].2.push((object, part));
-            }
-        }
-        debug_assert_eq!(
-            per_tier.iter().map(|(_, b, _)| *b).sum::<AccessBatch>(),
-            metrics.traffic,
-            "per-object splits must partition the task's traffic"
-        );
-        let flows: Vec<(TierId, u64, AccessBatch, Vec<(ObjectId, AccessBatch)>)> = per_tier
-            .into_iter()
-            .enumerate()
-            .filter(|(_, (_, b, _))| !b.is_empty())
-            .map(|(i, (tier, b, parts))| (tier, task_id * 8 + i as u64, b, parts))
-            .collect();
-
-        // Any attempt after the first is recovery work: its memory
-        // traffic is lineage recompute, tallied per tier so reports can
-        // price recovery by where the recomputed bytes landed.
-        if attempt > 0 {
-            for (tier, _, batch, _) in &flows {
-                self.faults.stats.recompute_bytes[tier.index()] += batch.total_bytes();
-            }
-        }
-
-        // The task's memory demand is presented at its CPU-interleaved
-        // *average* rate: each tier's flow drains over (its share of the
-        // CPU time) + (its nominal memory time), so a compute-heavy task
-        // asks for few bytes/s even on a fast device. Tasks without
-        // traffic are pure timers.
-        // A task's stalls are serial: misses to different tiers
-        // interleave in one instruction stream, so the task's nominal
-        // duration is CPU plus the SUM of its per-tier memory times.
-        // Every flow spans that full duration (they all belong to the
-        // same task and drain together), which keeps mixed placements
-        // strictly between the pure tiers.
-        let total_mem: SimTime = flows
-            .iter()
-            .map(|(tier, _, batch, _)| self.mem.nominal_mem_time(*tier, batch))
-            .fold(SimTime::ZERO, |acc, t| acc + t);
-        // Resolve the data plane's network charges against the topology.
-        // Same-node transfers ride the loopback fast path (no link, no
-        // time); cross-node ones contribute their nominal (uncontended)
-        // time to the task's duration, serial with CPU and memory stalls
-        // like everything else in the instruction stream.
-        let mut net_plan: Vec<(NetChargeKind, u32, u32, u64)> = Vec::new();
-        let mut total_net = SimTime::ZERO;
-        if self.net.active() {
-            for c in &net_charges {
-                let (src, dst) = self.net.resolve(exec_idx, c);
-                if src == dst {
-                    self.net.note_node_local(c.bytes);
-                    continue;
-                }
-                let topo = self.net.topology().expect("active plane has a topology");
-                total_net += topo.nominal_time(src, dst, c.bytes);
-                net_plan.push((c.kind, src, dst, c.bytes));
-            }
-        }
-        let duration = cpu + total_mem + total_net;
-        let mut outstanding = 0;
-        for (tier, flow, batch, _) in &flows {
-            // Demand is in channel bytes: random accesses mostly leave
-            // the channel idle while they wait on latency.
-            let rate = self.mem.channel_demand(batch).max(1.0) / duration.as_secs_f64().max(1e-12);
-            if self
-                .mem
-                .begin_access_with_rate(self.now, *tier, *flow, batch, rate)
-            {
-                outstanding += 1;
-                self.flow_owner.insert(*flow, task_id);
-            }
-        }
-
-        // Start the task's cross-node transfers. Each is paced to the
-        // task's whole span (like memory flows), so its links see the
-        // transfer's average demand and concurrent tasks fair-share
-        // bandwidth over their overlap.
-        let mut transfers: Vec<u64> = Vec::with_capacity(net_plan.len());
-        for (kind, src, dst, bytes) in net_plan {
-            let rate = bytes as f64 / duration.as_secs_f64().max(1e-12);
-            let (id, links, locality) = self.net.begin(
-                self.now,
-                Some(task_id),
-                kind,
-                src,
-                dst,
-                bytes,
-                rate,
-                attempt > 0,
-            );
-            if self.events.is_active() {
-                let labels: Vec<String> = {
-                    let topo = self.net.topology().expect("transfer without a plane");
-                    links.iter().map(|&l| topo.link_at(l).label()).collect()
-                };
-                for link in labels {
-                    self.events.emit(
-                        self.now,
-                        Event::FlowStarted {
-                            task_id: Some(task_id),
-                            link,
-                            bytes,
-                            locality: locality.label().to_string(),
-                        },
-                    );
-                }
-            }
-            transfers.push(id);
-        }
-        let net_outstanding = transfers.len();
-
-        self.running.insert(
-            task_id,
-            RunningTask {
-                exec: exec_idx,
-                stage: stage_id,
-                partition: part,
-                slot: co_running,
-                started: self.now,
-                cpu,
-                cpu_factor: factor,
-                outstanding,
-                metrics,
-                flows,
-                result,
-                attempt,
-                fail,
-                speculative: spec_of.is_some(),
-                transfers,
-                net_outstanding,
-                net_nominal: total_net,
-            },
-        );
-        if spec_of.is_some() {
-            self.faults.stats.speculative_launched += 1;
-        }
-        if self.events.is_active() {
-            if let Some(original) = spec_of {
-                self.events.emit(
-                    self.now,
-                    Event::SpeculativeLaunched {
-                        task_id,
-                        original,
-                        job: self.job_seq,
-                        stage: stage_id.0,
-                        partition: part,
-                    },
-                );
-            }
-            self.events.emit(
-                self.now,
-                Event::TaskStarted {
-                    task_id,
-                    job: self.job_seq,
-                    stage: stage_id.0,
-                    partition: part,
-                    executor: exec_idx,
-                    slot: co_running,
-                },
-            );
-            let cache_after = self.rt.cache.stats();
-            let evictions = cache_after.evictions - cache_before.evictions;
-            let spills = cache_after.spills - cache_before.spills;
-            if evictions > 0 || spills > 0 {
-                self.events
-                    .emit(self.now, Event::CacheEviction { evictions, spills });
-            }
-            for ev in &evicted_blocks {
-                // Under dynamic placement the freed bytes lived where
-                // the engine last placed the RDD's blocks, not on the
-                // executor's primary tier.
-                let tier = self
-                    .engine
-                    .residency(ObjectId::CacheBlock { rdd: ev.key.0 })
-                    .unwrap_or(placement[0].0);
-                self.events.emit(
-                    self.now,
-                    Event::BlockEvicted {
-                        rdd: ev.key.0,
-                        partition: ev.key.1,
-                        bytes: ev.bytes,
-                        spilled: ev.spilled,
-                        tier,
-                    },
-                );
-            }
-        }
-        if outstanding == 0 && net_outstanding == 0 {
-            self.queue.schedule(self.now + cpu, Ev::CpuDone(task_id));
-        }
-    }
-
-    /// Decompose a finished task's span into named components, conserving
-    /// it exactly (integer picoseconds).
-    ///
-    /// The CPU phase splits into shuffle-fetch processing (the fetch/scan
-    /// costs [`TaskEnv`](crate::rdd::TaskEnv) charged, inflated by the same
-    /// contention factor) and the compute remainder. The memory phase —
-    /// everything past the CPU span, i.e. nominal stall time plus the
-    /// task's share of bandwidth-contention stretch — is apportioned over
-    /// the per-(tier, read/write) nominal stall times, with the integer
-    /// rounding remainder absorbed by the largest component.
-    fn breakdown_for(&self, task: &RunningTask<U>, end: SimTime) -> TaskBreakdown {
-        let span = end - task.started;
-        let cpu = task.cpu.min(span);
-        let shuffle_fetch =
-            SimTime::from_ns_f64(task.metrics.shuffle_fetch_ns * task.cpu_factor).min(cpu);
-        let mut b = TaskBreakdown {
-            compute: cpu - shuffle_fetch,
-            shuffle_fetch,
-            ..TaskBreakdown::default()
-        };
-        let mem_actual = span - cpu;
-        if mem_actual.is_zero() {
-            return b;
-        }
-        // (kind, tier index, nominal ps) for every non-zero component:
-        // kind 0 = tier read, 1 = tier write, 2 = network. The stall past
-        // the CPU span — nominal time plus contention stretch — is
-        // apportioned over all three proportionally.
-        let mut parts: Vec<(u8, usize, u64)> = Vec::with_capacity(task.flows.len() * 2 + 1);
-        for (tier, _, batch, _) in &task.flows {
-            let (r, w) = self.mem.nominal_mem_time_rw(*tier, batch);
-            if !r.is_zero() {
-                parts.push((0, tier.index(), r.as_ps()));
-            }
-            if !w.is_zero() {
-                parts.push((1, tier.index(), w.as_ps()));
-            }
-        }
-        if !task.net_nominal.is_zero() {
-            parts.push((2, 0, task.net_nominal.as_ps()));
-        }
-        let nominal_total: u64 = parts.iter().map(|&(_, _, ps)| ps).sum();
-        if nominal_total == 0 {
-            // No nominal stall to apportion against (flows were dropped or
-            // rounding erased them): keep conservation by folding the
-            // residual into compute.
-            b.compute += mem_actual;
-            return b;
-        }
-        let mut assigned = 0u64;
-        let mut largest = 0usize;
-        for (i, &(kind, tier, ps)) in parts.iter().enumerate() {
-            // Widen to u128: ps values × mem_actual can exceed u64.
-            let share = (ps as u128 * mem_actual.as_ps() as u128 / nominal_total as u128) as u64;
-            assigned += share;
-            let slot = match kind {
-                0 => &mut b.mem_read[tier],
-                1 => &mut b.mem_write[tier],
-                _ => &mut b.net,
-            };
-            *slot += SimTime::from_ps(share);
-            if ps > parts[largest].2 {
-                largest = i;
-            }
-        }
-        let (kind, tier, _) = parts[largest];
-        let remainder = SimTime::from_ps(mem_actual.as_ps() - assigned);
-        match kind {
-            0 => b.mem_read[tier] += remainder,
-            1 => b.mem_write[tier] += remainder,
-            _ => b.net += remainder,
-        }
-        debug_assert_eq!(b.total(), span, "task breakdown must conserve its span");
-        b
-    }
-
-    /// A task's timer (or last memory flow) fired: route it to success or
-    /// to the failure it rolled at launch.
-    fn complete_task(&mut self, task_id: u64) {
-        let task = self.running.remove(&task_id).expect("unknown task");
-        self.executors[task.exec].running -= 1;
-        match task.fail {
-            FailKind::None => self.finish_task(task_id, task),
-            _ => self.fail_task(task_id, task),
-        }
-    }
-
-    fn finish_task(&mut self, task_id: u64, task: RunningTask<U>) {
-        let si = task.stage.0 as usize;
-        let span = self.now - task.started;
-        self.faults.stats.useful_time += span;
-        self.resubmit_pending
-            .remove(&(task.stage.0, task.partition));
-        debug_assert!(
-            !self.stage_state[si].completed[task.partition],
-            "partition completed twice"
-        );
-        self.stage_state[si].completed[task.partition] = true;
-        self.stage_state[si].finished_durations.push(span);
-        // First finisher wins: tear down rival attempts of this partition
-        // (speculation losers), in task-id order for determinism.
-        let mut rivals: Vec<u64> = self
-            .running
-            .iter()
-            .filter(|(_, t)| t.stage == task.stage && t.partition == task.partition)
-            .map(|(&id, _)| id)
-            .collect();
-        rivals.sort_unstable();
-        for id in rivals {
-            self.kill_task(id, true);
-        }
-        if task.speculative {
-            self.faults.stats.speculative_won += 1;
-            if self.events.is_active() {
-                self.events.emit(
-                    self.now,
-                    Event::SpeculativeWon {
-                        task_id,
-                        job: self.job_seq,
-                        stage: task.stage.0,
-                        partition: task.partition,
-                    },
-                );
-            }
-        }
-        let breakdown = self.breakdown_for(&task, self.now);
-        self.profile.tasks.push(TaskRecord {
-            task_id,
-            job: self.job_seq,
-            stage: task.stage.0,
-            partition: task.partition,
-            started: task.started,
-            end: self.now,
-            breakdown,
+        self.emit(|r| Event::StageSubmitted {
+            job: r.job.job,
+            stage: id.0,
+            tasks: num_tasks as u64,
         });
-        self.app.record_task(&task.metrics);
-        if let Some(trace) = self.trace.as_deref_mut() {
-            trace.push(TaskSpan {
-                task_id,
-                job: self.job_seq,
-                stage: task.stage.0,
-                partition: task.partition,
-                executor: task.exec,
-                slot: task.slot,
-                start: task.started,
-                end: self.now,
-                kind: if task.speculative {
-                    SpanKind::Speculative
-                } else {
-                    SpanKind::Normal
-                },
-            });
-        }
-        if self.events.is_active() {
-            let m = &task.metrics;
-            if m.shuffle_write_bytes > 0 {
-                self.events.emit(
-                    self.now,
-                    Event::ShuffleWrite {
-                        task_id,
-                        bytes: m.shuffle_write_bytes,
-                    },
-                );
-            }
-            if m.shuffle_read_bytes > 0 {
-                self.events.emit(
-                    self.now,
-                    Event::ShuffleFetch {
-                        task_id,
-                        bytes: m.shuffle_read_bytes,
-                        buckets: m.shuffle_buckets_read,
-                    },
-                );
-            }
-            if m.cache_hits + m.cache_misses > 0 {
-                self.events.emit(
-                    self.now,
-                    Event::CacheAccess {
-                        task_id,
-                        hits: m.cache_hits,
-                        misses: m.cache_misses,
-                    },
-                );
-            }
-            self.events.emit(
-                self.now,
-                Event::TaskFinished {
-                    task_id,
-                    job: self.job_seq,
-                    stage: task.stage.0,
-                    partition: task.partition,
-                    metrics: task.metrics,
-                    breakdown,
-                },
-            );
-        }
-        if let Some((part, out)) = task.result {
-            self.results[part] = Some((part, out));
-        }
-        self.stage_state[si].agg.merge(&task.metrics);
-        self.stage_state[si].remaining -= 1;
-        if self.stage_state[si].remaining == 0 {
-            self.stage_state[si].done = true;
-            if !self.stage_state[si].first_completed {
-                self.stage_state[si].first_completed = true;
-                let state = &self.stage_state[si];
-                self.rollups.push(StageRollup {
-                    job: self.job_seq,
-                    stage: task.stage.0,
-                    tasks: state.tasks_total,
-                    submitted: state.submitted,
-                    completed: self.now,
-                    metrics: state.agg,
-                });
-                if self.events.is_active() {
-                    self.events.emit(
-                        self.now,
-                        Event::StageCompleted {
-                            job: self.job_seq,
-                            stage: task.stage.0,
-                            tasks: self.stage_state[si].tasks_total,
-                        },
-                    );
-                }
-                let children = self.stage_state[si].children.clone();
-                for child in children {
-                    let ci = child.0 as usize;
-                    self.stage_state[ci].unmet -= 1;
-                    if self.stage_state[ci].unmet == 0 {
-                        self.activate_stage(child, Some(task_id));
-                    }
-                }
-            } else {
-                // Re-completion after a fetch-failure resubmission: the
-                // children were already activated the first time round, so
-                // only the reduce tasks parked on this map output wake up.
-                let mut unparked = Vec::new();
-                self.parked.retain(|&(s, p, awaiting)| {
-                    if awaiting == task.stage {
-                        unparked.push((s, p));
-                        false
-                    } else {
-                        true
-                    }
-                });
-                for (s, p) in unparked {
-                    self.ready.push_back((s, p));
-                }
-            }
-        }
-        self.maybe_speculate(task.stage);
-    }
-
-    /// A task reached its completion instant but was fated to fail: charge
-    /// its whole span (its memory flows drained for real) as waste, then
-    /// retry it — or, on a fetch failure, park it and resubmit the map task
-    /// whose output it lost.
-    fn fail_task(&mut self, task_id: u64, task: RunningTask<U>) {
-        let plan = self
-            .faults
-            .plan
-            .clone()
-            .expect("failure injected without a plan");
-        self.faults.record_waste(task.started, self.now);
-        let reason = match task.fail {
-            FailKind::Task => {
-                self.faults.stats.task_failures += 1;
-                "task"
-            }
-            FailKind::Fetch { .. } => {
-                self.faults.stats.fetch_failures += 1;
-                "fetch"
-            }
-            FailKind::None => unreachable!("finish_task handles successes"),
-        };
-        if let Some(trace) = self.trace.as_deref_mut() {
-            trace.push(TaskSpan {
-                task_id,
-                job: self.job_seq,
-                stage: task.stage.0,
-                partition: task.partition,
-                executor: task.exec,
-                slot: task.slot,
-                start: task.started,
-                end: self.now,
-                kind: SpanKind::Failed,
-            });
-        }
-        if self.events.is_active() {
-            self.events.emit(
-                self.now,
-                Event::TaskFailed {
-                    task_id,
-                    job: self.job_seq,
-                    stage: task.stage.0,
-                    partition: task.partition,
-                    attempt: task.attempt,
-                    reason: reason.into(),
-                },
-            );
-        }
-        let attempts = {
-            let e = self
-                .attempts
-                .entry((task.stage.0, task.partition))
-                .or_insert(0);
-            *e += 1;
-            *e
-        };
-        if attempts > plan.max_task_retries {
-            if self.fatal.is_none() {
-                self.fatal = Some(SparkError::TaskRetriesExhausted {
-                    job: self.job_seq,
-                    stage: task.stage.0,
-                    partition: task.partition,
-                    attempts,
-                });
-            }
-            return;
-        }
-        self.faults.stats.retries += 1;
-        match task.fail {
-            FailKind::Task => {
-                self.queue.schedule(
-                    self.now + plan.retry_backoff,
-                    Ev::Retry(task.stage, task.partition),
-                );
-            }
-            FailKind::Fetch { parent, victim } => {
-                // The lost map output must be regenerated before this reduce
-                // task can retry: park the reduce on its parent and resubmit
-                // the victim map task. Concurrent fetch failures against the
-                // same map share one resubmission.
-                if let StageKind::ShuffleMap(dep) = &self.plan.stages[parent.0 as usize].kind {
-                    self.rt.shuffle.mark_map_lost(dep.shuffle_id, victim);
-                }
-                self.parked.push((task.stage, task.partition, parent));
-                if self.resubmit_pending.insert((parent.0, victim)) {
-                    self.faults.stats.stage_resubmissions += 1;
-                    let pi = parent.0 as usize;
-                    self.stage_state[pi].done = false;
-                    self.stage_state[pi].remaining += 1;
-                    self.stage_state[pi].completed[victim] = false;
-                    self.ready.push_back((parent, victim));
-                    if self.events.is_active() {
-                        self.events.emit(
-                            self.now,
-                            Event::StageResubmitted {
-                                job: self.job_seq,
-                                stage: parent.0,
-                                partition: victim,
-                            },
-                        );
-                    }
-                }
-            }
-            FailKind::None => unreachable!("finish_task handles successes"),
-        }
-    }
-
-    /// Tear down a running attempt without letting it complete: cancel its
-    /// in-flight memory flows — the partial traffic served so far is
-    /// charged to [`ObjectId::Recovery`] so the attribution ledger keeps
-    /// conserving against the machine counters — free the executor slot,
-    /// and account the elapsed span as waste. `spec_loser` marks an attempt
-    /// killed because a rival copy of the same partition finished first;
-    /// otherwise the kill is an executor crash and the attempt reschedules
-    /// unless a rival is still running or the partition already completed.
-    fn kill_task(&mut self, task_id: u64, spec_loser: bool) {
-        let Some(task) = self.running.remove(&task_id) else {
-            return;
-        };
-        self.executors[task.exec].running -= 1;
-        for (tier, flow, batch, _) in &task.flows {
-            // Flows that already drained were fully charged on completion;
-            // cancelling them again would double-count.
-            if self.flow_owner.remove(flow).is_none() {
-                continue;
-            }
-            let partial = self.mem.cancel_access_attributed(
-                self.now,
-                *tier,
-                *flow,
-                batch,
-                ObjectId::Recovery,
-            );
-            self.faults.stats.cancelled_bytes += partial.total_bytes();
-        }
-        // Cancelled transfers never credit their links — the conservation
-        // invariant counts completed transfers only.
-        for &tid in &task.transfers {
-            self.net.cancel(self.now, tid);
-        }
-        self.faults.record_waste(task.started, self.now);
-        if spec_loser {
-            self.faults.stats.speculative_killed += 1;
-        } else {
-            self.faults.stats.tasks_killed += 1;
-        }
-        if let Some(trace) = self.trace.as_deref_mut() {
-            trace.push(TaskSpan {
-                task_id,
-                job: self.job_seq,
-                stage: task.stage.0,
-                partition: task.partition,
-                executor: task.exec,
-                slot: task.slot,
-                start: task.started,
-                end: self.now,
-                kind: if spec_loser {
-                    SpanKind::SpeculativeKilled
-                } else {
-                    SpanKind::Failed
-                },
-            });
-        }
-        if spec_loser {
-            return;
-        }
-        if self.events.is_active() {
-            self.events.emit(
-                self.now,
-                Event::TaskFailed {
-                    task_id,
-                    job: self.job_seq,
-                    stage: task.stage.0,
-                    partition: task.partition,
-                    attempt: task.attempt,
-                    reason: "crash".into(),
-                },
-            );
-        }
-        // Reschedule the partition unless someone else is still on it.
-        let si = task.stage.0 as usize;
-        let rival_running = self
-            .running
-            .values()
-            .any(|t| t.stage == task.stage && t.partition == task.partition);
-        if rival_running || self.stage_state[si].completed[task.partition] || self.fatal.is_some() {
-            return;
-        }
-        let Some(plan) = self.faults.plan.clone() else {
-            return;
-        };
-        let attempts = {
-            let e = self
-                .attempts
-                .entry((task.stage.0, task.partition))
-                .or_insert(0);
-            *e += 1;
-            *e
-        };
-        if attempts > plan.max_task_retries {
-            self.fatal = Some(SparkError::TaskRetriesExhausted {
-                job: self.job_seq,
-                stage: task.stage.0,
-                partition: task.partition,
-                attempts,
-            });
-        } else {
-            self.faults.stats.retries += 1;
-            self.queue.schedule(
-                self.now + plan.retry_backoff,
-                Ev::Retry(task.stage, task.partition),
-            );
-        }
-    }
-
-    /// Fire every executor crash due at or before `at`: mark the executor
-    /// dead, kill its running attempts, and drop the cached blocks it
-    /// produced — their next read misses and recomputes through lineage.
-    fn apply_crashes(&mut self, at: SimTime) {
-        let t = at.max(self.now);
-        self.now = t;
-        self.mem.advance(t);
-        for crash in self.faults.pop_crashes_due(t) {
-            if !self.faults.alive[crash.executor] {
-                continue;
-            }
-            self.faults.alive[crash.executor] = false;
-            self.faults.stats.executor_crashes += 1;
-            self.prof.count_event(EventClass::FaultCrash);
-            let mut victims: Vec<u64> = self
-                .running
-                .iter()
-                .filter(|(_, task)| task.exec == crash.executor)
-                .map(|(&id, _)| id)
-                .collect();
-            victims.sort_unstable();
-            let killed = victims.len() as u64;
-            for id in victims {
-                self.kill_task(id, false);
-            }
-            let mut lost: Vec<BlockKey> = self
-                .faults
-                .block_owner
-                .iter()
-                .filter(|&(_, &owner)| owner == crash.executor)
-                .map(|(&k, _)| k)
-                .collect();
-            lost.sort_unstable();
-            for k in &lost {
-                self.faults.block_owner.remove(k);
-            }
-            let (lost_blocks, lost_bytes) = self.rt.cache.drop_blocks(&lost);
-            self.faults.stats.lost_blocks += lost_blocks;
-            self.faults.stats.lost_bytes += lost_bytes;
-            // The plane's residency map follows the crash: blocks the dead
-            // executor produced no longer pin preferred locations there.
-            if self.net.active() {
-                self.net
-                    .block_owner
-                    .retain(|_, owner| *owner != crash.executor);
-            }
-            if self.events.is_active() {
-                self.events.emit(
-                    self.now,
-                    Event::ExecutorLost {
-                        executor: crash.executor,
-                        killed_tasks: killed,
-                        lost_blocks,
-                        lost_bytes,
-                    },
-                );
-            }
-        }
-        if self.faults.live_executors() == 0 && self.fatal.is_none() {
-            let pending = self.stage_state.iter().filter(|s| !s.done).count() as u64;
-            if pending > 0 {
-                self.fatal = Some(SparkError::AllExecutorsLost {
-                    job: self.job_seq,
-                    stages_pending: pending,
-                });
-            }
-        }
-    }
-
-    /// Launch speculative copies of stragglers: once `quantile` of a
-    /// stage's tasks have finished, any non-speculated attempt running
-    /// longer than `multiplier` × the median finished duration gets a
-    /// clone; tasks still under the threshold schedule a re-check for the
-    /// instant they would cross it.
-    fn maybe_speculate(&mut self, stage: StageId) {
-        let Some(spec) = self.faults.plan.as_ref().and_then(|p| p.speculation) else {
-            return;
-        };
-        let si = stage.0 as usize;
-        if self.stage_state[si].remaining == 0 {
-            return;
-        }
-        let total = self.stage_state[si].tasks_total as usize;
-        let finished = self.stage_state[si].finished_durations.len();
-        if (finished as f64) < spec.quantile * total as f64 {
-            return;
-        }
-        let mut durations = self.stage_state[si].finished_durations.clone();
-        durations.sort_unstable();
-        let median = durations[durations.len() / 2];
-        let threshold = median.mul_f64(spec.multiplier);
-        let mut clones: Vec<(u64, usize)> = Vec::new();
-        let mut recheck: Vec<SimTime> = Vec::new();
-        for (&id, t) in &self.running {
-            if t.stage != stage
-                || t.speculative
-                || self.speculated.contains(&(stage.0, t.partition))
-            {
-                continue;
-            }
-            if self.now - t.started >= threshold {
-                clones.push((id, t.partition));
-            } else {
-                recheck.push(t.started + threshold);
-            }
-        }
-        clones.sort_unstable();
-        recheck.sort_unstable();
-        // One reservation for the whole re-check batch; scheduling order
-        // (and therefore FIFO sequence numbers) is unchanged.
-        self.queue
-            .schedule_batch(recheck.into_iter().map(|at| (at, Ev::SpecCheck(stage))));
-        for (orig, part) in clones {
-            self.speculated.insert((stage.0, part));
-            self.spec_ready.push_back((stage, part, orig));
-        }
     }
 
     /// Run the job to completion; returns results in partition order.
@@ -1589,36 +385,31 @@ impl<'a, U> JobRunner<'a, U> {
             // therefore contains the nested resource phases).
             let _dispatch = self.prof.phase(ProfPhase::EventDispatch);
             self.dispatch();
-            if let Some(e) = self.fatal.take() {
+            if let Some(e) = self.recovery.fatal.take() {
                 self.abort();
                 return Err(e);
             }
             let queue_next = self.queue.peek_time();
-            let mem_next = self.mem.next_completion();
-            let net_next = self.net.next_event_time();
+            let mem_next = self.st.mem.next_completion();
+            let net_next = self.st.net.next_event_time();
             let mem_t = mem_next.map(|(mt, _, _)| mt);
-            let next_due = match [queue_next, mem_t, net_next].into_iter().flatten().min() {
-                Some(t) => t,
-                None => break,
+            let Some(next_due) = [queue_next, mem_t, net_next].into_iter().flatten().min() else {
+                break;
             };
             // A scheduled executor crash preempts any event strictly after
             // it; ties go to the crash so work due at the same instant sees
             // the post-crash world deterministically.
-            if let Some(ct) = self.faults.next_crash_at() {
-                if ct <= next_due {
-                    self.apply_crashes(ct);
-                    continue;
-                }
+            if let Some(ct) = self.st.faults.next_crash_at().filter(|&ct| ct <= next_due) {
+                self.apply_crashes(ct);
+                continue;
             }
             // A placement-epoch boundary preempts only when strictly
             // earlier than every pending event (ties defer to the work),
             // and never outlives the job: with nothing left to run the
             // loop exits above instead of idling through empty epochs.
-            if let Some(et) = self.engine.next_epoch() {
-                if et < next_due {
-                    self.cross_epoch(et);
-                    continue;
-                }
+            if let Some(et) = self.st.engine.next_epoch().filter(|&et| et < next_due) {
+                self.cross_epoch(et);
+                continue;
             }
             // Tie arbitration: CPU events beat memory completions beat
             // network drains, preserving the pre-network-plane order (and
@@ -1634,57 +425,43 @@ impl<'a, U> JobRunner<'a, U> {
             } else {
                 self.handle_net_event(next_due);
             }
-            if let Some(e) = self.fatal.take() {
+            if let Some(e) = self.recovery.fatal.take() {
                 self.abort();
                 return Err(e);
             }
         }
-        if self.stage_state.iter().any(|s| !s.done) {
-            let pending = self.stage_state.iter().filter(|s| !s.done).count() as u64;
+        if self.stages.pending > 0 {
+            let stages_pending = self.stages.pending as u64;
+            let job = self.job.job;
             self.abort();
-            return Err(if self.faults.live_executors() == 0 {
+            return Err(if self.st.faults.live_executors() == 0 {
                 SparkError::AllExecutorsLost {
-                    job: self.job_seq,
-                    stages_pending: pending,
+                    job,
+                    stages_pending,
                 }
             } else {
                 SparkError::Internal(format!(
-                    "job {}: event queue drained with {pending} stages incomplete",
-                    self.job_seq
+                    "job {job}: event queue drained with {stages_pending} stages incomplete"
                 ))
             });
         }
-        let mut results = Vec::with_capacity(self.results.len());
-        for (part, r) in self.results.into_iter().enumerate() {
-            match r {
-                Some((_, out)) => results.push(out),
-                None => {
-                    return Err(SparkError::Internal(format!(
-                        "job {}: result partition {part} never completed",
-                        self.job_seq
-                    )))
-                }
-            }
+        if let Some(part) = self.results.iter().position(Option::is_none) {
+            return Err(SparkError::Internal(format!(
+                "job {}: result partition {part} never completed",
+                self.job.job
+            )));
         }
-        self.profile.jobs.push(JobRecord {
-            job: self.job_seq,
-            submitted: self.submitted_at,
-            completed: self.now,
+        self.job.completed = self.now;
+        self.st.profile.jobs.push(self.job);
+        self.emit(|r| Event::JobCompleted {
+            job: r.job.job,
+            stages_run: r.stages.run,
+            tasks_run: r.next_task,
         });
-        if self.events.is_active() {
-            self.events.emit(
-                self.now,
-                Event::JobCompleted {
-                    job: self.job_seq,
-                    stages_run: self.stages_run,
-                    tasks_run: self.next_task,
-                },
-            );
-        }
         Ok(JobOutcome {
-            results,
+            results: self.results.into_iter().flatten().collect(),
             finished_at: self.now,
-            stages_run: self.stages_run,
+            stages_run: self.stages.run,
         })
     }
 
@@ -1708,12 +485,12 @@ impl<'a, U> JobRunner<'a, U> {
                 self.dispatch();
                 // A fatal error aborts from the main loop; the rest of the
                 // batch is dropped exactly as it would have stayed queued.
-                if self.fatal.is_some() {
+                if self.recovery.fatal.is_some() {
                     return;
                 }
             }
             self.handle_cpu_event(at, ev);
-            if self.fatal.is_some() {
+            if self.recovery.fatal.is_some() {
                 return;
             }
         }
@@ -1734,8 +511,7 @@ impl<'a, U> JobRunner<'a, U> {
                 if !self.running.contains_key(&task) {
                     return; // task was killed; its timer is moot
                 }
-                self.now = t;
-                self.mem.advance(t);
+                self.advance_to(t);
                 self.complete_task(task);
             }
             Ev::Retry(stage, part) => {
@@ -1743,142 +519,30 @@ impl<'a, U> JobRunner<'a, U> {
                 // in flight (a speculative clone of the failed original):
                 // launching anyway would duplicate the partition, and the
                 // first finisher's rival sweep covers the survivor.
-                if self.stage_state[stage.0 as usize].completed[part]
-                    || self
-                        .running
-                        .values()
-                        .any(|t| t.stage == stage && t.partition == part)
+                if self.stages[stage].completed[part]
+                    || self.running.values().any(|t| t.covers(stage, part))
                 {
                     return;
                 }
-                self.now = t;
-                self.mem.advance(t);
-                self.ready.push_back((stage, part));
+                self.advance_to(t);
+                self.dispatch.ready.push_back((stage, part));
             }
             Ev::SpecCheck(stage) => {
-                if self.stage_state[stage.0 as usize].remaining == 0 {
+                if self.stages[stage].remaining == 0 {
                     return; // stage finished before the re-check fired
                 }
-                self.now = t;
-                self.mem.advance(t);
+                self.advance_to(t);
                 self.maybe_speculate(stage);
             }
             Ev::LocalityRelax => {
-                self.relax_scheduled.remove(&t.as_ps());
-                if self.ready.is_empty() {
+                self.dispatch.relax_scheduled.remove(&t.as_ps());
+                if self.dispatch.ready.is_empty() {
                     return; // nothing is waiting on locality any more
                 }
                 // Purely a dispatch wake-up: the loop-top dispatch (or the
                 // batch interleave) re-evaluates placements at the new
                 // allowance.
-                self.now = t;
-                self.mem.advance(t);
-            }
-        }
-    }
-
-    /// Tear down every in-flight attempt after a fatal recovery error so
-    /// the shared memory system carries no orphan flows into later jobs.
-    /// Partial traffic is charged to [`ObjectId::Recovery`], like any
-    /// other killed attempt, so the ledger still conserves.
-    fn abort(&mut self) {
-        let mut ids: Vec<u64> = self.running.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let task = self.running.remove(&id).expect("listed task vanished");
-            self.executors[task.exec].running -= 1;
-            for (tier, flow, batch, _) in &task.flows {
-                if self.flow_owner.remove(flow).is_none() {
-                    continue;
-                }
-                let partial = self.mem.cancel_access_attributed(
-                    self.now,
-                    *tier,
-                    *flow,
-                    batch,
-                    ObjectId::Recovery,
-                );
-                self.faults.stats.cancelled_bytes += partial.total_bytes();
-            }
-            for &tid in &task.transfers {
-                self.net.cancel(self.now, tid);
-            }
-            self.faults.record_waste(task.started, self.now);
-            self.faults.stats.tasks_killed += 1;
-        }
-        // Migration copies share the same MemorySystem: an in-flight one
-        // left behind would surface from next_completion() in a later job
-        // that knows nothing about it. Cancel them like task flows, with
-        // the partial traffic kept on the migration object.
-        let mut flows: Vec<u64> = self.migration_flows.keys().copied().collect();
-        flows.sort_unstable();
-        for flow in flows {
-            let (tier, batch) = self
-                .migration_flows
-                .remove(&flow)
-                .expect("listed migration flow vanished");
-            self.mem
-                .cancel_access_attributed(self.now, tier, flow, &batch, ObjectId::Migration);
-        }
-    }
-
-    /// Cross one placement-epoch boundary: feed the engine fresh cache
-    /// footprints, let the policy rebalance off the live attribution
-    /// ledger, and start charging the resulting migration copies.
-    fn cross_epoch(&mut self, at: SimTime) {
-        self.prof.count_event(EventClass::PlacementEpoch);
-        // A boundary scheduled before idle driver time advanced the clock
-        // fires "now" — virtual time never runs backwards.
-        let t = at.max(self.now);
-        self.now = t;
-        self.mem.advance(t);
-        // Cached RDDs have a real footprint (their blocks' bytes); report
-        // it so migrations copy what is actually resident instead of the
-        // traffic-derived estimate.
-        let cached: Vec<(ObjectId, u64)> = self
-            .mem
-            .ledger()
-            .object_stats()
-            .keys()
-            .filter_map(|&o| match o {
-                ObjectId::CacheBlock { rdd } => Some((o, self.rt.cache.rdd_bytes(rdd))),
-                _ => None,
-            })
-            .collect();
-        for (object, bytes) in cached {
-            self.engine.set_footprint(object, bytes);
-        }
-        let migrations = self.engine.rebalance(t, self.mem.ledger());
-        for m in migrations {
-            self.start_migration(m);
-        }
-    }
-
-    /// Charge one migration: a read flow on the source tier plus a write
-    /// flow on the destination, both attributed to [`ObjectId::Migration`]
-    /// when they complete. The copy contends with task flows for channel
-    /// bandwidth, so its cost lands on the critical path like any other
-    /// traffic. Cached-RDD residency in the block manager follows the move.
-    fn start_migration(&mut self, m: Migration) {
-        if let ObjectId::CacheBlock { rdd } = m.object {
-            self.rt.cache.set_rdd_tier(rdd, m.to);
-        }
-        if self.events.is_active() {
-            self.events.emit(
-                self.now,
-                Event::ObjectMigrated {
-                    object: m.object,
-                    from: m.from,
-                    to: m.to,
-                    bytes: m.bytes,
-                },
-            );
-        }
-        for (tier, batch) in [(m.from, m.read_batch()), (m.to, m.write_batch())] {
-            let flow = MIGRATION_FLOW_BASE | self.migration_seq;
-            self.migration_seq += 1;
-            if self.mem.begin_access(self.now, tier, flow, &batch) {
-                self.migration_flows.insert(flow, (tier, batch));
+                self.advance_to(t);
             }
         }
     }
@@ -1900,17 +564,16 @@ impl<'a, U> JobRunner<'a, U> {
     /// bandwidth, which can surface new same-instant completions) and cheap
     /// against the rate cache.
     fn handle_mem_event(&mut self, t: SimTime, tier: TierId, flow: u64) {
-        self.now = t;
-        self.mem.advance(t);
+        self.advance_to(t);
         let (mut tier, mut flow) = (tier, flow);
         loop {
-            if let Some((migration_tier, batch)) = self.migration_flows.remove(&flow) {
+            if let Some((migration_tier, batch)) = self.migrations.flows.remove(&flow) {
                 self.prof.count_event(EventClass::Migration);
                 debug_assert_eq!(migration_tier, tier, "migration flow completed off-tier");
                 // The whole batch is the migration's: a one-part partition,
                 // so the ledger's conservation against the machine counters
                 // stays exact.
-                self.mem.finish_access_attributed(
+                self.st.mem.finish_access_attributed(
                     t,
                     tier,
                     flow,
@@ -1919,31 +582,29 @@ impl<'a, U> JobRunner<'a, U> {
                 );
             } else {
                 self.prof.count_event(EventClass::MemCompletion);
-                let task_id = self
-                    .flow_owner
-                    .remove(&flow)
+                let task_id = flow >> FLOW_SLOT_BITS;
+                let task = self
+                    .running
+                    .get_mut(&task_id)
                     .expect("completion for unowned flow");
-                let (batch, parts) = {
-                    let task = self.running.get_mut(&task_id).expect("unknown task");
-                    task.outstanding -= 1;
-                    task.flows
-                        .iter()
-                        .find(|fl| fl.0 == tier && fl.1 == flow)
-                        .map(|fl| (fl.2, fl.3.clone()))
-                        .expect("flow not registered on task")
-                };
-                self.mem
-                    .finish_access_attributed(t, tier, flow, &batch, &parts);
-                let done = {
-                    let task = &self.running[&task_id];
-                    task.outstanding == 0 && task.net_outstanding == 0
-                };
-                if done {
+                let fl = task
+                    .flows
+                    .iter_mut()
+                    .find(|fl| fl.id == flow)
+                    .expect("flow not registered on task");
+                debug_assert!(fl.tier == tier && !fl.drained, "flow completed twice");
+                fl.drained = true;
+                let parts = std::mem::take(&mut fl.parts);
+                self.st
+                    .mem
+                    .finish_access_attributed(t, tier, flow, &fl.batch, &parts);
+                task.pending -= 1;
+                if task.pending == 0 {
                     self.complete_task(task_id);
                     return;
                 }
             }
-            match self.mem.next_completion() {
+            match self.st.mem.next_completion() {
                 Some((t2, tier2, flow2))
                     if t2 == t && self.queue.peek_time().is_none_or(|qt| qt > t) =>
                 {
@@ -1957,106 +618,24 @@ impl<'a, U> JobRunner<'a, U> {
 
     /// Retire one network-plane link drain at `t`. A drain that completes
     /// its whole transfer (the last link of the path) appends the
-    /// conservation record, mirrors per-link [`Event::FlowCompleted`]
-    /// events, and decrements the owning task's outstanding-transfer count;
-    /// the task completes once both its memory flows and its transfers have
-    /// drained.
+    /// conservation record and mirrors its per-link events inside
+    /// [`NetState::step`](crate::net::NetState::step); here the owning task
+    /// loses one pending item, and completes once both its memory flows and
+    /// its transfers have drained.
     fn handle_net_event(&mut self, t: SimTime) {
         self.prof.count_event(EventClass::NetCompletion);
-        self.now = t;
-        self.mem.advance(t);
-        let Some(rec) = self.net.step(t) else {
-            return; // a link drained without completing its transfer
+        self.advance_to(t);
+        let st = &mut *self.st;
+        // `None`: a link drained without completing its transfer, or the
+        // transfer was driverless.
+        let Some(task_id) = st.net.step(t, &mut st.events).and_then(|rec| rec.task) else {
+            return;
         };
-        let owner = rec.task;
-        let bytes = rec.bytes;
-        let locality = rec.locality;
-        let links = rec.links.clone();
-        if self.events.is_active() {
-            let labels: Vec<String> = {
-                let topo = self.net.topology().expect("net event without a plane");
-                links.iter().map(|&l| topo.link_at(l).label()).collect()
-            };
-            for link in labels {
-                self.events.emit(
-                    self.now,
-                    Event::FlowCompleted {
-                        task_id: owner,
-                        link,
-                        bytes,
-                        locality: locality.label().to_string(),
-                    },
-                );
+        if let Some(task) = self.running.get_mut(&task_id) {
+            task.pending -= 1;
+            if task.pending == 0 {
+                self.complete_task(task_id);
             }
         }
-        if let Some(task_id) = owner {
-            if let Some(task) = self.running.get_mut(&task_id) {
-                task.net_outstanding -= 1;
-                if task.outstanding == 0 && task.net_outstanding == 0 {
-                    self.complete_task(task_id);
-                }
-            }
-        }
-    }
-}
-
-/// Delay scheduling's level ordering: lower is better.
-fn locality_rank(l: Locality) -> u64 {
-    match l {
-        Locality::NodeLocal => 0,
-        Locality::RackLocal => 1,
-        Locality::Remote => 2,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    type Runner = JobRunner<'static, ()>;
-
-    fn batch() -> AccessBatch {
-        AccessBatch::sequential(1_000_003, 499_999)
-            + AccessBatch::random_reads(12_345)
-            + AccessBatch::random_writes(6_789)
-    }
-
-    #[test]
-    fn split_traffic_conserves_every_field() {
-        let placement = vec![
-            (TierId::LOCAL_DRAM, 0.5),
-            (TierId::NVM_NEAR, 0.3),
-            (TierId::NVM_FAR, 0.2),
-        ];
-        let b = batch();
-        let parts = Runner::split_traffic(&b, &placement);
-        assert_eq!(parts.len(), 3);
-        let total: AccessBatch = parts.iter().map(|&(_, p)| p).sum();
-        assert_eq!(total, b, "splitting must conserve the batch exactly");
-        // Each share is roughly proportional (primary absorbs remainders).
-        let near = parts
-            .iter()
-            .find(|&&(t, _)| t == TierId::NVM_NEAR)
-            .expect("NVM_NEAR share missing from split")
-            .1;
-        let frac = near.total_bytes() as f64 / b.total_bytes() as f64;
-        assert!((frac - 0.3).abs() < 0.01, "share off: {frac}");
-    }
-
-    #[test]
-    fn single_tier_split_is_identity() {
-        let b = batch();
-        let parts = Runner::split_traffic(&b, &[(TierId::NVM_FAR, 1.0)]);
-        assert_eq!(parts, vec![(TierId::NVM_FAR, b)]);
-    }
-
-    #[test]
-    fn split_traffic_handles_tiny_batches() {
-        // Rounding on a 1-access batch must not lose the access.
-        let b = AccessBatch::random_reads(1);
-        let parts =
-            Runner::split_traffic(&b, &[(TierId::LOCAL_DRAM, 0.5), (TierId::NVM_NEAR, 0.5)]);
-        let total: AccessBatch = parts.iter().map(|&(_, p)| p).sum();
-        assert_eq!(total, b);
     }
 }
