@@ -249,7 +249,6 @@ impl SparkContext {
         let mut state = inner.state.lock();
         let outcome =
             JobRunner::new(&inner.runtime, &mut state, &inner.executors, plan, f).run()?;
-        state.clock = outcome.finished_at;
         state.app.jobs += 1;
         state.app.stages += outcome.stages_run;
         Ok(outcome.results)

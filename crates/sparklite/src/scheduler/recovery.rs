@@ -444,9 +444,12 @@ impl<U> JobRunner<'_, U> {
     }
 
     /// Tear down every in-flight attempt after a fatal recovery error so
-    /// the shared memory system carries no orphan flows into later jobs.
-    /// Runs after `fatal` was taken, so nothing here reschedules.
+    /// the shared memory system carries no orphan flows into later jobs,
+    /// and leave the context's clock where the job died — the memory system
+    /// has lived through that time, so the next job must not start before
+    /// it. Runs after `fatal` was taken, so nothing here reschedules.
     pub(super) fn abort(&mut self) {
+        self.st.clock = self.now;
         while let Some((&id, _)) = self.running.first_key_value() {
             self.teardown(id);
             self.st.faults.stats.tasks_killed += 1;

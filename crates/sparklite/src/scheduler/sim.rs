@@ -56,8 +56,6 @@ use std::sync::Arc;
 pub struct JobOutcome<U> {
     /// Per-partition results of the result stage, in partition order.
     pub results: Vec<U>,
-    /// Virtual time at which the job finished.
-    pub finished_at: SimTime,
     /// Stages that actually executed (excludes skipped ones).
     pub stages_run: u64,
 }
@@ -178,7 +176,7 @@ pub(super) struct RunningTask<U> {
 }
 
 impl<U> RunningTask<U> {
-    /// True when some other attempt in `running` works on `(stage, part)`.
+    /// True when this attempt works on `(stage, part)`.
     pub(super) fn covers(&self, stage: StageId, part: usize) -> bool {
         self.stage == stage && self.partition == part
     }
@@ -370,7 +368,9 @@ impl<'a, U> JobRunner<'a, U> {
         });
     }
 
-    /// Run the job to completion; returns results in partition order.
+    /// Run the job to completion; returns results in partition order and
+    /// leaves the context's clock where the job ended — or, through
+    /// `abort`, where it died.
     ///
     /// Fails with [`SparkError::Internal`] if the scheduler invariant breaks
     /// and a result partition never completes — a scheduler bug must surface
@@ -458,9 +458,9 @@ impl<'a, U> JobRunner<'a, U> {
             stages_run: r.stages.run,
             tasks_run: r.next_task,
         });
+        self.st.clock = self.now;
         Ok(JobOutcome {
             results: self.results.into_iter().flatten().collect(),
-            finished_at: self.now,
             stages_run: self.stages.run,
         })
     }

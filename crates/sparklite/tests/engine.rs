@@ -318,6 +318,86 @@ fn fetch_failures_survive_cached_shuffle_reuse() {
     assert_eq!(first, second, "the cached-shuffle job must still complete");
 }
 
+/// What `abort` leaves behind. A job that dies of retry exhaustion on a
+/// wired, hot/cold context tears down attempts with memory flows and
+/// cross-node transfers in flight; the context must come out of it
+/// conserving on every ledger, with its clock where the job died, and able
+/// to run the next job.
+#[test]
+fn a_dead_job_leaves_a_conserving_context_that_still_runs() {
+    use memtier_des::SimTime;
+    use memtier_memsim::{ObjectId, PlacementSpec};
+    use sparklite::{FaultPlan, LocalityMode, NetTopology, NetworkMode, SparkError};
+    // Seed 21: the first job's map stage survives the plan, its reduce
+    // stage does not; the second job's rolls let it through.
+    let plan = FaultPlan::seeded(21)
+        .with_task_failures(0.2)
+        .with_retries(1, SimTime::from_us(10));
+    let conf = SparkConf::bound_to_tier(TierId::NVM_NEAR)
+        .with_executors(3, 2)
+        .with_network(NetworkMode::Topology {
+            topology: NetTopology::new(4, 2).with_oversubscription(4.0),
+            locality: LocalityMode::Blind,
+        })
+        .with_placement(PlacementSpec::hot_cold(1 << 20, SimTime::from_us(200)))
+        .with_faults(plan);
+    let sc = SparkContext::new(conf).unwrap();
+    let sums = |n: u64, keys: u64, partitions| {
+        sc.parallelize(
+            (0..n).map(|i| (i % keys, i)).collect::<Vec<_>>(),
+            partitions,
+        )
+        .reduce_by_key(|a, b| a + b)
+        .count()
+    };
+    let err = sums(20_000, 97, 24).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            SparkError::TaskRetriesExhausted {
+                stage: 1,
+                attempts: 2,
+                ..
+            }
+        ),
+        "{err:?}"
+    );
+    let died_at = sc.elapsed();
+    assert!(
+        sc.recovery_stats().tasks_killed > 0,
+        "nothing was in flight"
+    );
+    assert!(
+        !died_at.is_zero(),
+        "the clock must stand where the job died"
+    );
+
+    assert_eq!(sums(2_000, 7, 4).unwrap(), 7, "the next job must complete");
+    assert!(sc.elapsed() > died_at);
+
+    let report = sc.finish(); // asserts per-link conservation itself
+    assert!(report.hotness.conserves(&report.telemetry.counters));
+    let recovery_bytes: u64 = (report.hotness.objects.iter())
+        .filter(|o| o.object == ObjectId::Recovery)
+        .map(|o| o.total_bytes)
+        .sum();
+    assert_eq!(recovery_bytes, report.recovery.cancelled_bytes);
+    assert!(recovery_bytes > 0);
+    assert!(report.migrations.migrations > 0, "hot/cold never engaged");
+    let n = &report.network;
+    assert!(
+        n.cancelled_transfers > 0,
+        "no transfer was cancelled: {n:?}"
+    );
+    assert_eq!(n.total_bytes, n.rack_local_bytes + n.cross_rack_bytes);
+    let by_kind = n.shuffle_bytes
+        + n.broadcast_bytes
+        + n.dfs_read_bytes
+        + n.dfs_write_bytes
+        + n.rereplicate_bytes;
+    assert_eq!(n.total_bytes, by_kind);
+}
+
 #[test]
 fn elapsed_is_monotone_and_deterministic() {
     let run = || {
