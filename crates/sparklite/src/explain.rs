@@ -140,6 +140,7 @@ impl RunDigest {
             resum.compute += s.phases.compute;
             resum.shuffle_fetch += s.phases.shuffle_fetch;
             resum.sched_queue += s.phases.sched_queue;
+            resum.net += s.phases.net;
             for i in 0..NUM_TIERS {
                 resum.mem_read[i] += s.phases.mem_read[i];
                 resum.mem_write[i] += s.phases.mem_write[i];
