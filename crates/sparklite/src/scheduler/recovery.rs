@@ -115,14 +115,17 @@ impl<U> JobRunner<'_, U> {
         );
         self.stages[stage].completed[part] = true;
         self.stages[stage].finished_durations.push(span);
-        // First finisher wins: tear down rival attempts of this partition
-        // (speculation losers), in task-id order.
-        let rivals: Vec<u64> = self
-            .running
-            .iter()
-            .filter(|(_, t)| t.covers(stage, part))
-            .map(|(&id, _)| id)
-            .collect();
+        // First finisher wins: tear down rival attempts of this partition,
+        // in task-id order. Only a cloned partition has any — a retry never
+        // launches beside a live attempt — so nothing else pays the sweep.
+        let rivals: Vec<u64> = if self.recovery.speculated.contains(&(stage.0, part)) {
+            (self.running.iter())
+                .filter(|(_, t)| t.covers(stage, part))
+                .map(|(&id, _)| id)
+                .collect()
+        } else {
+            Vec::new()
+        };
         for id in rivals {
             let loser = self.teardown(id);
             self.st.faults.stats.speculative_killed += 1;
