@@ -389,7 +389,13 @@ impl<'a, U> JobRunner<'a, U> {
                 self.abort();
                 return Err(e);
             }
-            let queue_next = self.queue.peek_time();
+            // A finished job ignores its queue. With no stage pending, every
+            // timer still queued belongs to a killed or superseded attempt
+            // and would be dropped unhandled when popped — but while one
+            // was pending, a crash or an epoch due before it fired and
+            // walked the clock past the last task's end. Migration copies
+            // still drain; a crash due later waits for the next job.
+            let queue_next = self.queue.peek_time().filter(|_| self.stages.pending > 0);
             let mem_next = self.st.mem.next_completion();
             let net_next = self.st.net.next_event_time();
             let mem_t = mem_next.map(|(mt, _, _)| mt);
