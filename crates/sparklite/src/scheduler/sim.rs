@@ -17,17 +17,18 @@
 //! The runner is a loop plus three parts, each an `impl JobRunner` block in
 //! its own file over its own fields (DESIGN.md, "Scheduler anatomy"):
 //!
-//! * [`dispatch`](super::dispatch) — ready queues, slot rotation, delay
+//! * `dispatch.rs` — ready queues, slot rotation, delay
 //!   scheduling: *which* attempt goes *where* next;
-//! * [`launch`](super::launch) — data plane → pricing → fate → routing →
+//! * `launch.rs` — data plane → pricing → fate → routing →
 //!   flow start: what one attempt costs and when it will end;
-//! * [`recovery`](super::recovery) — complete / fail / kill / crash /
+//! * `recovery.rs` — complete / fail / kill / crash /
 //!   speculate / abort: what happens when an attempt ends, either way.
 //!
-//! This file owns the clock ([`JobRunner::advance_to`] is the only place
+//! This file owns the clock (`JobRunner::advance_to` is the only place
 //! `now` moves), the three-way arbitration between CPU timers, memory
-//! completions and link drains (ties: cpu ≥ mem ≥ net), placement epochs
-//! and their migration copies. All of it borrows one [`RunState`].
+//! completions and link drains (ties: cpu ≥ mem ≥ net) and the rule that a
+//! finished job ignores its queue; placement epochs and their migration
+//! copies are `epochs.rs`. All of it borrows one [`RunState`].
 //!
 //! Everything is deterministic: ties in the event queue resolve FIFO, the
 //! executor choice rotates round-robin, in-flight work is kept in id order
