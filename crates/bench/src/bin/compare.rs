@@ -39,64 +39,19 @@
 //! [`RunDigest`]: sparklite::RunDigest
 
 use memtier_bench::{
-    arg_value as arg, compare_runtimes, explain_baselines, pct, DigestRow, RuntimeDelta, RuntimeRow,
+    arg_value as arg, compare_runtimes, explain_baselines, load_baseline, pct, write_text_artifact,
+    RuntimeDelta, RuntimeRow,
 };
 use memtier_metrics::table::fmt_f64;
 use memtier_metrics::AsciiTable;
 use std::process::exit;
 
-fn load(path: &str) -> Vec<RuntimeRow> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("compare: read {path}: {e}");
-        exit(2);
-    });
-    let rows: Vec<RuntimeRow> = serde_json::from_str(&text).unwrap_or_else(|e| {
-        eprintln!("compare: {path} is not a baseline (array of rows with scenario + virtual_runtime_s): {e}");
-        exit(2);
-    });
-    if rows.is_empty() {
-        eprintln!("compare: {path} is empty");
-        exit(2);
-    }
-    rows
-}
-
-/// Re-read a baseline keeping the embedded digests (rows without one load
-/// as `digest: None` and surface as explain notes downstream).
-fn load_digests(path: &str) -> Vec<DigestRow> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("compare: read {path}: {e}");
-        exit(2);
-    });
-    serde_json::from_str(&text).unwrap_or_else(|e| {
-        eprintln!("compare: {path}: {e}");
-        exit(2);
-    })
-}
-
-/// Write `contents` to `path`, creating parent directories; exits 2 on
-/// failure like every other I/O error in this binary.
-fn write_file(path: &str, contents: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-                eprintln!("compare: mkdir {}: {e}", dir.display());
-                exit(2);
-            });
-        }
-    }
-    std::fs::write(path, contents).unwrap_or_else(|e| {
-        eprintln!("compare: write {path}: {e}");
-        exit(2);
-    });
-}
-
 /// The `--explain` path: attribute every breached scenario's delta from
 /// the digests and persist the reports for the CI artifact upload.
 fn explain_breach(
     args: &[String],
-    baseline_path: &str,
-    candidate_path: &str,
+    baseline: &[RuntimeRow],
+    candidate: &[RuntimeRow],
     deltas: &[RuntimeDelta],
     tolerance_pct: f64,
 ) {
@@ -120,9 +75,7 @@ fn explain_breach(
         );
         return;
     }
-    let baseline = load_digests(baseline_path);
-    let candidate = load_digests(candidate_path);
-    let (explained, notes) = explain_baselines(&baseline, &candidate, &breached);
+    let (explained, notes) = explain_baselines(baseline, candidate, &breached);
     let mut rendered = String::new();
     for e in &explained {
         rendered.push_str(&format!(
@@ -136,12 +89,12 @@ fn explain_breach(
         eprintln!("compare: explain — {n}");
     }
     let out = arg(args, "--explain-out").unwrap_or_else(|| "results/EXPLAIN_compare.json".into());
-    write_file(
+    write_text_artifact(
         &out,
         &serde_json::to_string_pretty(&explained).expect("reports serialize"),
     );
     let txt = std::path::Path::new(&out).with_extension("txt");
-    write_file(&txt.to_string_lossy(), &rendered);
+    write_text_artifact(&txt.to_string_lossy(), &rendered);
     println!("compare: wrote {out} and {}", txt.display());
 }
 
@@ -165,8 +118,8 @@ fn main() {
         })
         .unwrap_or(2.0);
 
-    let baseline = load(&baseline_path);
-    let candidate = load(&candidate_path);
+    let baseline = load_baseline("compare", &baseline_path);
+    let candidate = load_baseline("compare", &candidate_path);
     let (deltas, unmatched) = compare_runtimes(&baseline, &candidate);
 
     let mut t =
@@ -213,7 +166,7 @@ fn main() {
             "deltas": deltas,
             "unmatched": unmatched,
         });
-        write_file(
+        write_text_artifact(
             &path,
             &serde_json::to_string_pretty(&payload).expect("verdict serializes"),
         );
@@ -222,13 +175,7 @@ fn main() {
 
     if failures > 0 || !unmatched.is_empty() {
         if args.iter().any(|a| a == "--explain") {
-            explain_breach(
-                &args,
-                &baseline_path,
-                &candidate_path,
-                &deltas,
-                tolerance_pct,
-            );
+            explain_breach(&args, &baseline, &candidate, &deltas, tolerance_pct);
         }
         eprintln!(
             "compare: FAILED — {failures} scenario(s) beyond ±{tolerance_pct}% and {} unmatched label(s)",

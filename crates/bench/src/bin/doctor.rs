@@ -1,163 +1,16 @@
-//! Run-doctor harness: run the whole suite across tiers, assert that every
-//! run's windowed series conserve exactly, print each run's diagnosis (the
-//! ranked findings plus the doctor's sparkline timeline for one showcase
-//! run), and write the machine-readable doctor baseline.
+//! The `doctor` harness: [`memtier_bench::sweeps::doctor`] — which says what
+//! it sweeps, asserts and tabulates — on the shared pipeline.
 //!
 //! ```text
 //! cargo run --release -p memtier-bench --bin doctor
 //! # -> results/BENCH_doctor.json
 //! ```
 //!
-//! Flags: `--size tiny|small|large` (default `tiny`), `--dir <path>`
-//! (default `results`), `--jobs <n>` sweep workers (default: all cores; any
-//! width is byte-identical), and `--check` to re-read the artifact and
-//! verify it parses, stays internally consistent, and regenerates
-//! byte-identically from a fresh run (the CI doctor-smoke step).
+//! Flags: the shared sweep flags ([`memtier_bench::BenchArgs`]; `--jobs`
+//! defaults to all cores). `--check` is the CI doctor-smoke step.
 
-use memtier_bench::{
-    bench_doctor_entries, campaign_threads, check_fail as fail, parallel_sweep, suite_apps,
-    write_json_artifact, BenchArgs, BenchDoctorEntry,
-};
-use memtier_core::{run_scenario, Scenario, ScenarioResult};
-use memtier_memsim::TierId;
-use memtier_metrics::table::fmt_f64;
-use memtier_metrics::AsciiTable;
-
-/// How many findings each run's row shows in the summary table.
-const TOP_FINDINGS: usize = 3;
+use memtier_bench::sweeps;
 
 fn main() {
-    let args = BenchArgs::parse();
-    let jobs = args.jobs_or(campaign_threads());
-    let (size, dir, check) = (args.size, args.dir, args.check);
-
-    let apps = suite_apps();
-    let scenarios: Vec<Scenario> = apps
-        .iter()
-        .flat_map(|app| {
-            TierId::all()
-                .into_iter()
-                .map(move |t| Scenario::default_conf(app, size, t))
-        })
-        .collect();
-    eprintln!(
-        "diagnosing {} scenarios ({} apps x {} tiers, {size})…",
-        scenarios.len(),
-        apps.len(),
-        TierId::all().len()
-    );
-    let results = parallel_sweep(&scenarios, jobs, |s| {
-        run_scenario(s).expect("doctor campaign")
-    });
-    for r in &results {
-        assert!(
-            r.doctor.conserved,
-            "the doctor's windowed series must re-sum to the run totals for {}",
-            r.scenario.label()
-        );
-    }
-
-    print_diagnoses(&results);
-
-    // Full rendered diagnosis for one showcase run: the suite's first app on
-    // the near NVM tier, where the saturation detector has something to say.
-    if let Some(r) = results
-        .iter()
-        .find(|r| r.scenario.tier == TierId::NVM_NEAR && !r.doctor.findings.is_empty())
-    {
-        println!("## Showcase diagnosis: {}", r.scenario.label());
-        print!("{}", r.doctor.render(TOP_FINDINGS));
-    }
-
-    let path = format!("{dir}/BENCH_doctor.json");
-    write_json_artifact(&path, &bench_doctor_entries(&results));
-
-    if check {
-        verify(&path, &results);
-        println!("  check passed: artifact parses, stays consistent, and regenerates identically");
-    }
-}
-
-/// Per-run diagnosis table: conservation verdict, finding count, and the
-/// top finding.
-fn print_diagnoses(results: &[ScenarioResult]) {
-    let mut t = AsciiTable::new(vec![
-        "scenario",
-        "runtime (s)",
-        "windows",
-        "conserved",
-        "findings",
-        "top finding",
-        "recovery (s)",
-    ])
-    .title("Run doctor (top finding per run)");
-    for r in results {
-        let top = r.doctor.findings.first();
-        t.row(vec![
-            r.scenario.label(),
-            fmt_f64(r.elapsed_s, 3),
-            r.doctor.series.starts.len().to_string(),
-            if r.doctor.conserved { "yes" } else { "NO" }.to_string(),
-            r.doctor.findings.len().to_string(),
-            top.map(|f| f.kind.label().to_string())
-                .unwrap_or_else(|| "-".to_string()),
-            top.map(|f| fmt_f64(f.estimated_recovery_s, 4))
-                .unwrap_or_else(|| "-".to_string()),
-        ]);
-    }
-    println!("{}", t.render());
-}
-
-/// The CI smoke checks: the artifact re-read from disk parses, each entry is
-/// internally consistent (conserved, ranked findings), and re-running one
-/// scenario reproduces its row byte-for-byte (determinism end to end,
-/// through serialization).
-fn verify(path: &str, results: &[ScenarioResult]) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("read {path}: {e}")));
-    let entries: Vec<BenchDoctorEntry> = serde_json::from_str(&text)
-        .unwrap_or_else(|e| fail(format!("{path} is not a valid doctor baseline: {e}")));
-    if entries.is_empty() {
-        fail(format!("{path} is empty"));
-    }
-    for e in &entries {
-        if !e.conserved {
-            fail(format!(
-                "{path}: {} failed the conservation contract",
-                e.scenario
-            ));
-        }
-        if e.windows == 0 || e.window_width_s <= 0.0 {
-            fail(format!("{path}: {} has a degenerate grid", e.scenario));
-        }
-        for pair in e.findings.windows(2) {
-            if pair[0].score < pair[1].score {
-                fail(format!(
-                    "{path}: {} findings are not ranked by score",
-                    e.scenario
-                ));
-            }
-        }
-    }
-
-    // Re-run the first scenario and require its regenerated row to match the
-    // one on disk exactly.
-    let scenario = results[0].scenario.clone();
-    let rerun = run_scenario(&scenario).unwrap_or_else(|e| fail(format!("re-run: {e}")));
-    let fresh = bench_doctor_entries(std::slice::from_ref(&rerun));
-    let on_disk = entries
-        .iter()
-        .find(|e| e.scenario == scenario.label())
-        .unwrap_or_else(|| fail(format!("{} missing from {path}", scenario.label())));
-    let a = serde_json::to_string(&fresh[0]).expect("serialize fresh entry");
-    let b = serde_json::to_string(on_disk).expect("serialize disk entry");
-    if a != b {
-        fail(format!(
-            "{} does not regenerate byte-identically:\n fresh: {a}\n disk:  {b}",
-            scenario.label()
-        ));
-    }
-    println!(
-        "  determinism: {} regenerated byte-identically",
-        scenario.label()
-    );
+    sweeps::run(&sweeps::doctor());
 }

@@ -25,24 +25,8 @@
 //! * `2` — usage or I/O error, or nothing to explain (no scenario joined
 //!   with a digest on both sides).
 
-use memtier_bench::{arg_value as arg, explain_baselines, DigestRow};
+use memtier_bench::{arg_value as arg, explain_baselines, load_baseline, write_text_artifact};
 use std::process::exit;
-
-fn load(path: &str) -> Vec<DigestRow> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("explain: read {path}: {e}");
-        exit(2);
-    });
-    let rows: Vec<DigestRow> = serde_json::from_str(&text).unwrap_or_else(|e| {
-        eprintln!("explain: {path} is not a baseline (array of rows with scenario + virtual_runtime_s): {e}");
-        exit(2);
-    });
-    if rows.is_empty() {
-        eprintln!("explain: {path} is empty");
-        exit(2);
-    }
-    rows
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -65,8 +49,8 @@ fn main() {
         .unwrap_or(8);
     let only: Vec<String> = arg(&args, "--scenario").into_iter().collect();
 
-    let baseline = load(&baseline_path);
-    let candidate = load(&candidate_path);
+    let baseline = load_baseline("explain", &baseline_path);
+    let candidate = load_baseline("explain", &candidate_path);
     let (explained, notes) = explain_baselines(&baseline, &candidate, &only);
     for n in &notes {
         eprintln!("explain: {n}");
@@ -88,19 +72,8 @@ fn main() {
     );
 
     if let Some(path) = arg(&args, "--json-out") {
-        if let Some(dir) = std::path::Path::new(&path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-                    eprintln!("explain: mkdir {}: {e}", dir.display());
-                    exit(2);
-                });
-            }
-        }
         let json = serde_json::to_string_pretty(&explained).expect("reports serialize");
-        std::fs::write(&path, json).unwrap_or_else(|e| {
-            eprintln!("explain: write {path}: {e}");
-            exit(2);
-        });
+        write_text_artifact(&path, &json);
         println!("explain: wrote {path}");
     }
 }

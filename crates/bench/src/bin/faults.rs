@@ -1,304 +1,17 @@
-//! Fault-tolerance harness: sweep deterministic task-failure rates across
-//! tier placements on every suite workload (plus one straggler+speculation
-//! point), verify the acceptance properties — a zero-fault plan is
-//! byte-identical to no plan, recovery overhead is monotone in the failure
-//! rate, and recovery traffic conserves against the machine counters in
-//! exact integers — and write the machine-readable faults baseline.
+//! The `faults` harness: [`memtier_bench::sweeps::faults`] — which says what
+//! it sweeps, asserts and tabulates — on the shared pipeline.
 //!
 //! ```text
 //! cargo run --release -p memtier-bench --bin faults
 //! # -> results/BENCH_faults.json
 //! ```
 //!
-//! Flags: `--size tiny|small|large` (default `tiny`), `--dir <path>`
-//! (default `results`), `--app <name>` to sweep a single workload (the CI
-//! faults-smoke step uses this), `--jobs <n>` sweep workers (default: all
-//! cores; any width is byte-identical), and `--check` to re-read the
-//! artifact and verify it parses, stays internally consistent, and
-//! regenerates byte-identically from a fresh run.
+//! Flags: the shared sweep flags ([`memtier_bench::BenchArgs`]; `--jobs`
+//! defaults to all cores), and `--app <name>` to sweep a single workload
+//! (the CI faults-smoke step uses this).
 
-use memtier_bench::{
-    bench_faults_entries, campaign_threads, check_fail as fail, parallel_sweep, pct,
-    write_json_artifact, BenchArgs, BenchFaultsEntry,
-};
-use memtier_core::{run_scenario, Scenario, ScenarioResult};
-use memtier_memsim::{ObjectId, TierId};
-use memtier_metrics::table::fmt_f64;
-use memtier_metrics::AsciiTable;
-use sparklite::{FaultPlan, SpeculationConf};
-
-/// The failure-rate axis of the sweep (`0.0` is the plan-free endpoint).
-const FAILURE_RATES: [f64; 3] = [0.0, 0.05, 0.15];
-
-/// The tier-placement axis of the sweep.
-const TIERS: [TierId; 2] = [TierId::LOCAL_DRAM, TierId::NVM_NEAR];
-
-/// One seed for the whole artifact: the sweep is a pure function of it.
-const SEED: u64 = 2024;
-
-/// The straggler point: heavy slowdowns with speculation cleaning them up.
-const STRAGGLER_PROB: f64 = 0.35;
-const STRAGGLER_FACTOR: f64 = 8.0;
+use memtier_bench::sweeps;
 
 fn main() {
-    let args = BenchArgs::parse();
-    let apps = args.apps();
-    let jobs = args.jobs_or(campaign_threads());
-    let (size, dir, check) = (args.size, args.dir, args.check);
-
-    // Per app: the failure-rate axis on each tier (rate 0 is the plan-free
-    // endpoint), one zero-fault plan for the byte-identity check, and one
-    // straggler+speculation point.
-    let mut scenarios = Vec::new();
-    for app in &apps {
-        for &tier in &TIERS {
-            for &rate in &FAILURE_RATES {
-                let s = Scenario::default_conf(app, size, tier);
-                scenarios.push(if rate > 0.0 {
-                    s.with_faults(FaultPlan::seeded(SEED).with_task_failures(rate))
-                } else {
-                    s
-                });
-            }
-        }
-        scenarios.push(
-            Scenario::default_conf(app, size, TierId::NVM_NEAR)
-                .with_faults(FaultPlan::seeded(SEED)),
-        );
-        scenarios.push(
-            Scenario::default_conf(app, size, TierId::NVM_NEAR).with_faults(
-                FaultPlan::seeded(SEED)
-                    .with_stragglers(STRAGGLER_PROB, STRAGGLER_FACTOR)
-                    .with_speculation(SpeculationConf::default()),
-            ),
-        );
-    }
-    eprintln!(
-        "sweeping {} scenarios ({} apps x {} plans, {size})…",
-        scenarios.len(),
-        apps.len(),
-        scenarios.len() / apps.len()
-    );
-    let results = parallel_sweep(&scenarios, jobs, |s| run_scenario(s).expect("faults sweep"));
-
-    check_conservation(&results);
-    check_zero_fault_identity(&apps, &results);
-    check_monotone_overhead(&apps, &results);
-    print_sweep(&apps, &results);
-
-    let path = format!("{dir}/BENCH_faults.json");
-    write_json_artifact(&path, &bench_faults_entries(&results));
-
-    if check {
-        verify(&path, &results);
-        println!("  check passed: artifact parses, stays consistent, and regenerates identically");
-    }
-}
-
-/// Every run's attribution must partition the machine counters in exact
-/// integers, faults or not, and the `recovery` ledger object must carry
-/// exactly the bytes of the killed tasks' partially-drained flows.
-fn check_conservation(results: &[ScenarioResult]) {
-    for r in results {
-        assert!(
-            r.hotness.conserves(&r.counters),
-            "per-object attribution must partition the counters for {}",
-            r.scenario.label()
-        );
-        let recovery_bytes: u64 = r
-            .hotness
-            .objects
-            .iter()
-            .filter(|o| o.object == ObjectId::Recovery)
-            .map(|o| o.total_bytes)
-            .sum();
-        assert_eq!(
-            recovery_bytes,
-            r.recovery.cancelled_bytes,
-            "recovery ledger bytes must equal the cancelled flows' for {}",
-            r.scenario.label()
-        );
-        if r.scenario.faults.is_none() {
-            assert!(
-                r.recovery.is_quiet(),
-                "plan-free runs must report quiet recovery: {}",
-                r.scenario.label()
-            );
-        }
-    }
-}
-
-/// The subsystem's ground rule, re-checked on the artifact's own runs: the
-/// zero-fault plan reproduces the plan-free NVM_NEAR endpoint byte-for-byte
-/// (everything measured — only the scenario descriptor may differ).
-fn check_zero_fault_identity(apps: &[String], results: &[ScenarioResult]) {
-    for app in apps {
-        let plain = find(results, app, TierId::NVM_NEAR, |s| s.faults.is_none());
-        let zero = find(results, app, TierId::NVM_NEAR, |s| {
-            s.faults.as_ref().is_some_and(|p| p.is_zero())
-        });
-        let blank = |r: &ScenarioResult| {
-            let mut r = r.clone();
-            r.scenario = plain.scenario.clone();
-            serde_json::to_string(&r).expect("serialize result")
-        };
-        assert_eq!(
-            blank(plain),
-            blank(zero),
-            "{app}: a zero-fault plan must be bit-for-bit no-plan"
-        );
-    }
-}
-
-/// Recovery overhead is monotone in the failure rate: on each tier, runtime
-/// never decreases as the rate climbs, and the sweep as a whole injected
-/// real failures.
-fn check_monotone_overhead(apps: &[String], results: &[ScenarioResult]) {
-    let mut total_failures = 0u64;
-    for app in apps {
-        for &tier in &TIERS {
-            let series: Vec<&ScenarioResult> = FAILURE_RATES
-                .iter()
-                .map(|&rate| {
-                    find(results, app, tier, |s| match &s.faults {
-                        None => rate == 0.0,
-                        Some(p) => {
-                            p.task_failure_prob == rate && p.straggler_prob == 0.0 && !p.is_zero()
-                        }
-                    })
-                })
-                .collect();
-            for pair in series.windows(2) {
-                assert!(
-                    pair[1].elapsed_s >= pair[0].elapsed_s,
-                    "{}: runtime must be monotone in the failure rate \
-                     ({:.6}s at a higher rate vs {:.6}s)",
-                    pair[1].scenario.label(),
-                    pair[1].elapsed_s,
-                    pair[0].elapsed_s
-                );
-            }
-            total_failures += series.iter().map(|r| r.recovery.task_failures).sum::<u64>();
-        }
-    }
-    assert!(
-        total_failures > 0,
-        "the sweep must inject at least one failure overall"
-    );
-}
-
-/// First result for `app` on `tier` whose scenario satisfies `pred`.
-fn find<'a>(
-    results: &'a [ScenarioResult],
-    app: &str,
-    tier: TierId,
-    pred: impl Fn(&Scenario) -> bool,
-) -> &'a ScenarioResult {
-    results
-        .iter()
-        .find(|r| r.scenario.workload == app && r.scenario.tier == tier && pred(&r.scenario))
-        .unwrap_or_else(|| panic!("missing sweep point for {app} on {tier}"))
-}
-
-/// The sweep table: each run's runtime against its plan-free endpoint, plus
-/// what recovery did to get there.
-fn print_sweep(apps: &[String], results: &[ScenarioResult]) {
-    let mut t = AsciiTable::new(vec![
-        "scenario",
-        "plan",
-        "runtime (s)",
-        "vs clean",
-        "failures",
-        "retries",
-        "resubmits",
-        "spec won",
-        "waste",
-    ])
-    .title("Fault-injection sweep (recovery overhead vs plan-free endpoints)");
-    for app in apps {
-        for r in results.iter().filter(|r| &r.scenario.workload == app) {
-            let clean = find(results, app, r.scenario.tier, |s| s.faults.is_none());
-            let v = &r.recovery;
-            t.row(vec![
-                r.scenario.label(),
-                r.scenario
-                    .faults
-                    .as_ref()
-                    .map(|p| p.label())
-                    .unwrap_or_else(|| "none".to_string()),
-                fmt_f64(r.elapsed_s, 4),
-                pct(r.elapsed_s / clean.elapsed_s - 1.0),
-                v.task_failures.to_string(),
-                v.retries.to_string(),
-                v.stage_resubmissions.to_string(),
-                v.speculative_won.to_string(),
-                pct(v.waste_fraction()),
-            ]);
-        }
-    }
-    println!("{}", t.render());
-}
-
-/// The CI smoke checks: the artifact re-read from disk parses, each entry is
-/// internally consistent, and re-running one faulty scenario reproduces its
-/// row byte-for-byte (determinism end to end, through serialization).
-fn verify(path: &str, results: &[ScenarioResult]) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("read {path}: {e}")));
-    let entries: Vec<BenchFaultsEntry> = serde_json::from_str(&text)
-        .unwrap_or_else(|e| fail(format!("{path} is not a valid faults baseline: {e}")));
-    if entries.is_empty() {
-        fail(format!("{path} is empty"));
-    }
-    for e in &entries {
-        if e.virtual_runtime_s <= 0.0 {
-            fail(format!("{path}: {} has a non-positive runtime", e.scenario));
-        }
-        let v = &e.recovery;
-        let frac = v.waste_fraction();
-        if !(0.0..=1.0).contains(&frac) {
-            fail(format!(
-                "{path}: {} waste fraction {frac} out of range",
-                e.scenario
-            ));
-        }
-        if e.plan == "none" && !v.is_quiet() {
-            fail(format!(
-                "{path}: plan-free run {} reports recovery activity: {v:?}",
-                e.scenario
-            ));
-        }
-        if v.retries > 0 && v.task_failures + v.fetch_failures + v.executor_crashes == 0 {
-            fail(format!(
-                "{path}: {} retried without any recorded failure: {v:?}",
-                e.scenario
-            ));
-        }
-    }
-
-    // Re-run the first scenario that actually saw failures and require its
-    // regenerated row to match the one on disk exactly.
-    let scenario = results
-        .iter()
-        .find(|r| r.recovery.task_failures > 0)
-        .expect("a faulty run")
-        .scenario
-        .clone();
-    let rerun = run_scenario(&scenario).unwrap_or_else(|e| fail(format!("re-run: {e}")));
-    let fresh = bench_faults_entries(std::slice::from_ref(&rerun));
-    let on_disk = entries
-        .iter()
-        .find(|e| e.scenario == scenario.label())
-        .unwrap_or_else(|| fail(format!("{} missing from {path}", scenario.label())));
-    let a = serde_json::to_string(&fresh[0]).expect("serialize fresh entry");
-    let b = serde_json::to_string(on_disk).expect("serialize disk entry");
-    if a != b {
-        fail(format!(
-            "{} does not regenerate byte-identically:\n fresh: {a}\n disk:  {b}",
-            scenario.label()
-        ));
-    }
-    println!(
-        "  determinism: {} regenerated byte-identically",
-        scenario.label()
-    );
+    sweeps::run(&sweeps::faults());
 }

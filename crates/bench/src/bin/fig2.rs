@@ -4,7 +4,10 @@
 //! Also emits the consolidated machine-readable perf baseline
 //! (`BENCH_profile.json`, override with `--profile-out <path>`).
 
-use memtier_bench::{campaign_threads, maybe_dump_json, pct, write_bench_profile};
+use memtier_bench::{
+    arg_value, attribution_table, bench_profile_entries, campaign_threads, maybe_dump_json, pct,
+    write_json_artifact,
+};
 use memtier_core::campaign::{by_workload_size, fig2_campaign};
 use memtier_core::ScenarioResult;
 use memtier_memsim::TierId;
@@ -13,14 +16,11 @@ use memtier_metrics::AsciiTable;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let profile_path = args
-        .iter()
-        .position(|a| a == "--profile-out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_profile.json".to_string());
+    let profile_path =
+        arg_value(&args, "--profile-out").unwrap_or_else(|| "BENCH_profile.json".to_string());
     let results = fig2_campaign(campaign_threads()).expect("fig2 campaign");
     maybe_dump_json(&results);
-    write_bench_profile(&profile_path, &results);
+    write_json_artifact(&profile_path, &bench_profile_entries(&results));
     print_time(&results);
     print_accesses(&results);
     print_energy(&results);
@@ -156,36 +156,16 @@ fn print_attribution(results: &[ScenarioResult]) {
     // critical path spends its time, as shares of the virtual runtime. The
     // shares sum to 1 (conservation) — the mem-write column is exactly the
     // part the paper's DCPM write-asymmetry discussion predicts grows.
-    let mut t = AsciiTable::new(vec![
-        "benchmark",
-        "size",
-        "compute",
-        "shuffle fetch",
-        "queue",
-        "driver",
-        "mem read",
-        "mem write",
-    ])
-    .title("Fig 2 (attribution) — critical-path time shares, Tier 2 run");
-    for ((w, s), v) in groups(results) {
-        let r = v[2];
-        assert!(r.profile.conserves(), "attribution must conserve");
-        let a = &r.profile.attribution;
-        let share = |x: memtier_des::SimTime| fmt_f64(x.as_secs_f64() / r.elapsed_s.max(1e-12), 3);
-        let read: memtier_des::SimTime = a.mem_read.iter().copied().sum();
-        let write: memtier_des::SimTime = a.mem_write.iter().copied().sum();
-        t.row(vec![
-            w,
-            s,
-            share(a.compute),
-            share(a.shuffle_fetch),
-            share(a.sched_queue),
-            share(a.driver),
-            share(read),
-            share(write),
-        ]);
-    }
-    println!("{}", t.render());
+    let rows = groups(results).into_iter().map(|((w, s), v)| {
+        assert!(v[2].profile.conserves(), "attribution must conserve");
+        ([w, s], v[2])
+    });
+    let table = attribution_table(
+        "Fig 2 (attribution) — critical-path time shares, Tier 2 run",
+        ["benchmark", "size"],
+        rows,
+    );
+    println!("{table}");
 }
 
 fn print_summary(results: &[ScenarioResult]) {

@@ -1,171 +1,16 @@
-//! Object-hotness harness: run the whole suite across tiers, verify that
-//! the per-object attribution conserves against the machine counters in
-//! exact integers, print each run's hottest objects, demonstrate the
-//! "promote the top-k hot objects to Tier 0" what-if, and write the
-//! machine-readable hotness baseline.
+//! The `hotness` harness: [`memtier_bench::sweeps::hotness`] — which says what
+//! it sweeps, asserts and tabulates — on the shared pipeline.
 //!
 //! ```text
 //! cargo run --release -p memtier-bench --bin hotness
 //! # -> results/BENCH_hotness.json
 //! ```
 //!
-//! Flags: `--size tiny|small|large` (default `tiny`), `--dir <path>`
-//! (default `results`), `--jobs <n>` sweep workers (default: all cores; any
-//! width is byte-identical), and `--check` to re-read the artifact and
-//! verify it parses, stays internally consistent, and regenerates
-//! byte-identically from a fresh run (the CI hotness-smoke step).
+//! Flags: the shared sweep flags ([`memtier_bench::BenchArgs`]; `--jobs`
+//! defaults to all cores). `--check` is the CI hotness-smoke step.
 
-use memtier_bench::{
-    bench_hotness_entries, campaign_threads, check_fail as fail, parallel_sweep, suite_apps,
-    write_json_artifact, BenchArgs, BenchHotnessEntry, HOTNESS_TOP_K,
-};
-use memtier_core::{run_scenario, Scenario, ScenarioResult};
-use memtier_memsim::TierId;
-use memtier_metrics::table::fmt_f64;
-use memtier_metrics::AsciiTable;
-use sparklite::{hotness_promotion_whatif, reprice};
-
-/// How many objects the promotion what-if moves to Tier 0.
-const PROMOTE_K: usize = 3;
+use memtier_bench::sweeps;
 
 fn main() {
-    let args = BenchArgs::parse();
-    let jobs = args.jobs_or(campaign_threads());
-    let (size, dir, check) = (args.size, args.dir, args.check);
-
-    let apps = suite_apps();
-    let scenarios: Vec<Scenario> = apps
-        .iter()
-        .flat_map(|app| {
-            TierId::all()
-                .into_iter()
-                .map(move |t| Scenario::default_conf(app, size, t))
-        })
-        .collect();
-    eprintln!(
-        "attributing {} scenarios ({} apps x {} tiers, {size})…",
-        scenarios.len(),
-        apps.len(),
-        TierId::all().len()
-    );
-    let results = parallel_sweep(&scenarios, jobs, |s| {
-        run_scenario(s).expect("hotness campaign")
-    });
-    for r in &results {
-        assert!(
-            r.hotness.conserves(&r.counters),
-            "per-object attribution must partition the counters for {}",
-            r.scenario.label()
-        );
-    }
-
-    print_hot_objects(&results);
-
-    let path = format!("{dir}/BENCH_hotness.json");
-    write_json_artifact(&path, &bench_hotness_entries(&results));
-
-    // Promotion what-if on the Tier-2 run of every app: re-price the
-    // critical path as if the top-PROMOTE_K hot objects lived on Tier 0.
-    println!("## What-if: top-{PROMOTE_K} hot objects promoted to Tier 0");
-    for r in results
-        .iter()
-        .filter(|r| r.scenario.tier == TierId::NVM_NEAR)
-    {
-        let w = reprice(&r.profile, &hotness_promotion_whatif(&r.hotness, PROMOTE_K));
-        println!(
-            "{:<24} {:.3}s -> {:.3}s predicted ({:.2}x)",
-            r.scenario.label(),
-            w.baseline_s,
-            w.predicted_s,
-            w.speedup
-        );
-    }
-
-    if check {
-        verify(&path, &results);
-        println!("  check passed: artifact parses, stays consistent, and regenerates identically");
-    }
-}
-
-/// Per-run hotness table: the heaviest object and its share of the traffic.
-fn print_hot_objects(results: &[ScenarioResult]) {
-    let mut t = AsciiTable::new(vec![
-        "scenario",
-        "runtime (s)",
-        "stall (s)",
-        "objects",
-        "hottest object",
-        "bytes (MB)",
-        "byte share",
-    ])
-    .title("Object hotness (heaviest object per run)");
-    for r in results {
-        let total_bytes: u64 = r.hotness.objects.iter().map(|o| o.total_bytes).sum();
-        let tops = r.hotness.top_by_bytes(1);
-        let top = tops[0];
-        t.row(vec![
-            r.scenario.label(),
-            fmt_f64(r.elapsed_s, 3),
-            fmt_f64(r.hotness.total_stall().as_secs_f64(), 3),
-            r.hotness.objects.len().to_string(),
-            top.label.clone(),
-            fmt_f64(top.total_bytes as f64 / 1e6, 1),
-            fmt_f64(top.total_bytes as f64 / total_bytes.max(1) as f64, 3),
-        ]);
-    }
-    println!("{}", t.render());
-}
-
-/// The CI smoke checks: the artifact re-read from disk parses, each entry is
-/// internally consistent, and re-running one scenario reproduces its row
-/// byte-for-byte (determinism end to end, through serialization).
-fn verify(path: &str, results: &[ScenarioResult]) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("read {path}: {e}")));
-    let entries: Vec<BenchHotnessEntry> = serde_json::from_str(&text)
-        .unwrap_or_else(|e| fail(format!("{path} is not a valid hotness baseline: {e}")));
-    if entries.is_empty() {
-        fail(format!("{path} is empty"));
-    }
-    for e in &entries {
-        if e.objects.is_empty() || e.objects.len() > HOTNESS_TOP_K {
-            fail(format!("{path}: {} has a bad object list", e.scenario));
-        }
-        let top_stall: f64 = e.objects.iter().map(|o| o.stall_s).sum();
-        if top_stall > e.total_stall_s * (1.0 + 1e-9) {
-            fail(format!(
-                "{path}: {} top-object stall {top_stall:.6}s exceeds the total {:.6}s",
-                e.scenario, e.total_stall_s
-            ));
-        }
-        for pair in e.objects.windows(2) {
-            if pair[0].total_bytes < pair[1].total_bytes {
-                fail(format!(
-                    "{path}: {} objects are not ranked by bytes",
-                    e.scenario
-                ));
-            }
-        }
-    }
-
-    // Re-run the first scenario and require its regenerated row to match the
-    // one on disk exactly.
-    let scenario = results[0].scenario.clone();
-    let rerun = run_scenario(&scenario).unwrap_or_else(|e| fail(format!("re-run: {e}")));
-    let fresh = bench_hotness_entries(std::slice::from_ref(&rerun));
-    let on_disk = entries
-        .iter()
-        .find(|e| e.scenario == scenario.label())
-        .unwrap_or_else(|| fail(format!("{} missing from {path}", scenario.label())));
-    let a = serde_json::to_string(&fresh[0]).expect("serialize fresh entry");
-    let b = serde_json::to_string(on_disk).expect("serialize disk entry");
-    if a != b {
-        fail(format!(
-            "{} does not regenerate byte-identically:\n fresh: {a}\n disk:  {b}",
-            scenario.label()
-        ));
-    }
-    println!(
-        "  determinism: {} regenerated byte-identically",
-        scenario.label()
-    );
+    sweeps::run(&sweeps::hotness());
 }

@@ -1,328 +1,18 @@
-//! Network-plane harness: sweep rack-uplink oversubscription × locality
-//! policy × memory tier on every suite workload over a 4-node/2-rack
-//! topology with a loopback endpoint per (app, tier), verify the per-link
-//! byte counters partition the traffic in exact integers, verify
-//! locality-aware scheduling strictly reduces cross-rack bytes against
-//! blind placement, and write the machine-readable network baseline.
+//! The `netsweep` harness: [`memtier_bench::sweeps::netsweep`] — which says what
+//! it sweeps, asserts and tabulates — on the shared pipeline.
 //!
 //! ```text
 //! cargo run --release -p memtier-bench --bin netsweep
 //! # -> results/BENCH_net.json
 //! ```
 //!
-//! Flags: `--size tiny|small|large` (default `tiny`), `--dir <path>`
-//! (default `results`), `--app <name>` to sweep a single workload (the CI
-//! net-smoke step uses this), `--jobs <n>` sweep workers (default: all
-//! cores; any width is byte-identical), and `--check` to re-read the
-//! artifact and verify it parses, stays internally consistent, keeps the
-//! locality win, and regenerates byte-identically from a fresh run.
+//! Flags: the shared sweep flags ([`memtier_bench::BenchArgs`]; `--jobs`
+//! defaults to all cores), and `--app <name>` to sweep a single workload
+//! (the CI net-smoke step uses this). `--check` also requires the locality
+//! win to hold in the rows on disk.
 
-use memtier_bench::{
-    bench_net_entries, campaign_threads, check_fail as fail, parallel_sweep, pct,
-    write_json_artifact, BenchArgs, BenchNetEntry,
-};
-use memtier_core::{run_scenario, Scenario, ScenarioResult};
-use memtier_des::SimTime;
-use memtier_memsim::TierId;
-use memtier_metrics::table::fmt_f64;
-use memtier_metrics::AsciiTable;
-use sparklite::{LocalityMode, NetReport, NetTopology, NetworkMode};
-
-/// The rack-uplink oversubscription axis of the sweep.
-const OVERSUBSCRIPTION: [f64; 3] = [1.0, 4.0, 16.0];
-
-/// The tier axis: the paper's local-DRAM and near-NVM endpoints, so the
-/// sweep shows how network cost composes with memory-tier cost.
-const TIERS: [TierId; 2] = [TierId::LOCAL_DRAM, TierId::NVM_NEAR];
-
-/// Cluster shape: 3 executors over a 4-node/2-rack fabric. Executors land
-/// on nodes 0..2 round-robin, so the racks are deliberately asymmetric
-/// (two executors in rack 0, one in rack 1) — the configuration where task
-/// placement visibly moves bytes between the rack-local and cross-rack
-/// buckets.
-const NODES: u32 = 4;
-const RACKS: u32 = 2;
-const EXECUTORS: usize = 3;
-const CORES: usize = 12;
-
-/// How long delay scheduling holds a task for a preferred-node slot.
-const DELAY_WAIT_US: u64 = 500;
-
-/// The two placement policies under comparison.
-fn policies() -> [LocalityMode; 2] {
-    [
-        LocalityMode::Blind,
-        LocalityMode::DelayScheduling {
-            wait: SimTime::from_us(DELAY_WAIT_US),
-        },
-    ]
-}
-
-fn wired(oversub: f64, locality: LocalityMode) -> NetworkMode {
-    NetworkMode::Topology {
-        topology: NetTopology::new(NODES, RACKS).with_oversubscription(oversub),
-        locality,
-    }
-}
+use memtier_bench::sweeps;
 
 fn main() {
-    let args = BenchArgs::parse();
-    let apps = args.apps();
-    let jobs = args.jobs_or(campaign_threads());
-    let (size, dir, check) = (args.size, args.dir, args.check);
-
-    // Per (app, tier): the loopback endpoint, then the oversubscription ×
-    // locality grid on the shared 4-node/2-rack fabric.
-    let mut scenarios = Vec::new();
-    for app in &apps {
-        for &tier in &TIERS {
-            let base = Scenario::default_conf(app, size, tier).with_grid(EXECUTORS, CORES);
-            scenarios.push(base.clone());
-            for &oversub in &OVERSUBSCRIPTION {
-                for locality in policies() {
-                    scenarios.push(base.clone().with_network(wired(oversub, locality)));
-                }
-            }
-        }
-    }
-    eprintln!(
-        "sweeping {} scenarios ({} apps x {} wirings, {size})…",
-        scenarios.len(),
-        apps.len(),
-        scenarios.len() / apps.len()
-    );
-    let results = parallel_sweep(&scenarios, jobs, |s| run_scenario(s).expect("net sweep"));
-
-    check_conservation(&results);
-    check_locality_wins(&apps, &results);
-    print_sweep(&apps, &results);
-
-    let path = format!("{dir}/BENCH_net.json");
-    write_json_artifact(&path, &bench_net_entries(&results));
-
-    if check {
-        verify(&path, &results);
-        println!("  check passed: artifact parses, stays consistent, and regenerates identically");
-    }
-}
-
-/// Every wired run's traffic must partition in exact integers: the locality
-/// split and the charge-kind split both re-sum to the byte total, and every
-/// completed transfer exits its source through exactly one node uplink, so
-/// the node-up link counters re-sum to the total too (and the rack-up
-/// counters to the cross-rack slice). Loopback runs must report nothing.
-fn check_conservation(results: &[ScenarioResult]) {
-    for r in results {
-        let label = r.scenario.label();
-        let net = &r.network;
-        if r.scenario.network.is_none() {
-            assert!(net.is_empty(), "loopback run {label} reports traffic");
-            continue;
-        }
-        assert!(net.transfers > 0, "wired run {label} saw no transfers");
-        assert_eq!(
-            net.cancelled_transfers, 0,
-            "fault-free run {label} cancelled transfers"
-        );
-        assert_eq!(
-            net.total_bytes,
-            net.rack_local_bytes + net.cross_rack_bytes,
-            "locality split must partition the bytes for {label}"
-        );
-        let kind_sum = net.shuffle_bytes
-            + net.broadcast_bytes
-            + net.dfs_read_bytes
-            + net.dfs_write_bytes
-            + net.rereplicate_bytes;
-        assert_eq!(
-            net.total_bytes, kind_sum,
-            "charge-kind split must partition the bytes for {label}"
-        );
-        assert_eq!(
-            net.total_bytes,
-            link_sum(net, "node", ":up"),
-            "node uplink counters must re-sum to the total for {label}"
-        );
-        assert_eq!(
-            net.cross_rack_bytes,
-            link_sum(net, "rack", ":up"),
-            "rack uplink counters must re-sum to the cross-rack slice for {label}"
-        );
-    }
-}
-
-/// Bytes over the links whose label starts with `prefix` and ends with
-/// `suffix` (e.g. the `node*:up` halves).
-fn link_sum(net: &NetReport, prefix: &str, suffix: &str) -> u64 {
-    net.links
-        .iter()
-        .filter(|l| l.label.starts_with(prefix) && l.label.ends_with(suffix))
-        .map(|l| l.bytes)
-        .sum()
-}
-
-/// The acceptance criterion: summed over the sweep grid, delay scheduling
-/// moves strictly fewer bytes across racks than blind placement on at least
-/// one workload (shuffle-heavy apps are where the win lives), and never
-/// sees traffic appear from nowhere.
-fn check_locality_wins(apps: &[String], results: &[ScenarioResult]) {
-    let wins: Vec<&String> = apps
-        .iter()
-        .filter(|app| {
-            let (blind, delay) = cross_rack_split(app, results);
-            delay < blind
-        })
-        .collect();
-    assert!(
-        !wins.is_empty(),
-        "delay scheduling must strictly reduce cross-rack bytes vs blind on >=1 workload"
-    );
-    eprintln!(
-        "locality win on {}/{} workloads: {}",
-        wins.len(),
-        apps.len(),
-        wins.iter()
-            .map(|s| s.as_str())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-}
-
-/// Cross-rack bytes for an app summed over the wired grid, split by policy:
-/// `(blind, delay-scheduling)`.
-fn cross_rack_split(app: &str, results: &[ScenarioResult]) -> (u64, u64) {
-    let mut blind = 0u64;
-    let mut delay = 0u64;
-    for r in results.iter().filter(|r| r.scenario.workload == app) {
-        match &r.scenario.network {
-            Some(NetworkMode::Topology { locality, .. }) => match locality {
-                LocalityMode::Blind => blind += r.network.cross_rack_bytes,
-                LocalityMode::DelayScheduling { .. } => delay += r.network.cross_rack_bytes,
-            },
-            _ => {}
-        }
-    }
-    (blind, delay)
-}
-
-/// The sweep table: each run's runtime against its loopback endpoint, plus
-/// where the bytes went.
-fn print_sweep(apps: &[String], results: &[ScenarioResult]) {
-    let mut t = AsciiTable::new(vec![
-        "scenario",
-        "wiring",
-        "runtime (s)",
-        "vs loopback",
-        "transfers",
-        "node-local (MB)",
-        "rack (MB)",
-        "x-rack (MB)",
-    ])
-    .title("Network sweep (oversubscription x locality policy x tier)");
-    for app in apps {
-        for r in results.iter().filter(|r| &r.scenario.workload == app) {
-            let loopback = results
-                .iter()
-                .find(|b| {
-                    b.scenario.workload == r.scenario.workload
-                        && b.scenario.tier == r.scenario.tier
-                        && b.scenario.network.is_none()
-                })
-                .expect("loopback endpoint")
-                .elapsed_s;
-            let wiring = r
-                .scenario
-                .network
-                .as_ref()
-                .map(|m| m.label())
-                .unwrap_or_else(|| "loopback".to_string());
-            t.row(vec![
-                r.scenario.label(),
-                wiring,
-                fmt_f64(r.elapsed_s, 4),
-                pct(r.elapsed_s / loopback - 1.0),
-                r.network.transfers.to_string(),
-                fmt_f64(r.network.node_local_bytes as f64 / 1e6, 2),
-                fmt_f64(r.network.rack_local_bytes as f64 / 1e6, 2),
-                fmt_f64(r.network.cross_rack_bytes as f64 / 1e6, 2),
-            ]);
-        }
-    }
-    println!("{}", t.render());
-}
-
-/// The CI smoke checks: the artifact re-read from disk parses, each entry is
-/// internally consistent, the locality win holds in the rows on disk, and
-/// re-running one wired scenario reproduces its row byte-for-byte
-/// (determinism end to end, through serialization).
-fn verify(path: &str, results: &[ScenarioResult]) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("read {path}: {e}")));
-    let entries: Vec<BenchNetEntry> = serde_json::from_str(&text)
-        .unwrap_or_else(|e| fail(format!("{path} is not a valid network baseline: {e}")));
-    if entries.is_empty() {
-        fail(format!("{path} is empty"));
-    }
-    let mut split: std::collections::BTreeMap<&str, (u64, u64)> = Default::default();
-    for e in &entries {
-        if e.virtual_runtime_s <= 0.0 {
-            fail(format!("{path}: {} has a non-positive runtime", e.scenario));
-        }
-        if e.wiring == "loopback" {
-            if !e.network.is_empty() {
-                fail(format!(
-                    "{path}: loopback run {} reports traffic",
-                    e.scenario
-                ));
-            }
-            continue;
-        }
-        let n = &e.network;
-        if n.total_bytes != n.rack_local_bytes + n.cross_rack_bytes {
-            fail(format!(
-                "{path}: {} locality split does not partition the bytes",
-                e.scenario
-            ));
-        }
-        let per_app = split.entry(e.app.as_str()).or_default();
-        if e.wiring.contains(",blind)") {
-            per_app.0 += n.cross_rack_bytes;
-        } else {
-            per_app.1 += n.cross_rack_bytes;
-        }
-    }
-    let win = split.iter().find(|(_, (blind, delay))| delay < blind);
-    let Some((app, (blind, delay))) = win else {
-        fail(format!(
-            "{path}: delay scheduling must strictly reduce cross-rack bytes \
-             vs blind on >=1 workload: {split:?}"
-        ));
-    };
-    println!("  locality: delay scheduling cut {app}'s cross-rack bytes {blind} -> {delay}");
-
-    // Re-run the first wired scenario and require its regenerated row to
-    // match the one on disk exactly.
-    let scenario = results
-        .iter()
-        .find(|r| r.scenario.network.is_some())
-        .expect("a wired run")
-        .scenario
-        .clone();
-    let rerun = run_scenario(&scenario).unwrap_or_else(|e| fail(format!("re-run: {e}")));
-    let fresh = bench_net_entries(std::slice::from_ref(&rerun));
-    let on_disk = entries
-        .iter()
-        .find(|e| e.scenario == scenario.label())
-        .unwrap_or_else(|| fail(format!("{} missing from {path}", scenario.label())));
-    let a = serde_json::to_string(&fresh[0]).expect("serialize fresh entry");
-    let b = serde_json::to_string(on_disk).expect("serialize disk entry");
-    if a != b {
-        fail(format!(
-            "{} does not regenerate byte-identically:\n fresh: {a}\n disk:  {b}",
-            scenario.label()
-        ));
-    }
-    println!(
-        "  determinism: {} regenerated byte-identically",
-        scenario.label()
-    );
+    sweeps::run(&sweeps::netsweep());
 }

@@ -1,272 +1,17 @@
-//! Placement-policy harness: sweep the dynamic engine's DRAM capacity ×
-//! epoch grid against the static membind endpoints on every suite workload,
-//! verify the acceptance ordering (HotCold beats static NVM and loses to
-//! all-DRAM), verify migration traffic conserves against the machine
-//! counters in exact integers, and write the machine-readable policy
-//! baseline.
+//! The `policy` harness: [`memtier_bench::sweeps::policy`] — which says what
+//! it sweeps, asserts and tabulates — on the shared pipeline.
 //!
 //! ```text
 //! cargo run --release -p memtier-bench --bin policy
 //! # -> results/BENCH_policy.json
 //! ```
 //!
-//! Flags: `--size tiny|small|large` (default `tiny`), `--dir <path>`
-//! (default `results`), `--app <name>` to sweep a single workload (the CI
-//! policy-smoke step uses this), `--jobs <n>` sweep workers (default: all
-//! cores; any width is byte-identical), and `--check` to re-read the
-//! artifact and verify it parses, stays internally consistent, and
-//! regenerates byte-identically from a fresh run.
+//! Flags: the shared sweep flags ([`memtier_bench::BenchArgs`]; `--jobs`
+//! defaults to all cores), and `--app <name>` to sweep a single workload
+//! (the CI policy-smoke step uses this).
 
-use memtier_bench::{
-    bench_policy_entries, campaign_threads, check_fail as fail, parallel_sweep, pct,
-    write_json_artifact, BenchArgs, BenchPolicyEntry,
-};
-use memtier_core::{run_scenario, Scenario, ScenarioResult};
-use memtier_des::SimTime;
-use memtier_memsim::{PlacementSpec, TierId};
-use memtier_metrics::table::fmt_f64;
-use memtier_metrics::AsciiTable;
-
-/// The DRAM-capacity axis of the sweep (bytes).
-const CAPACITIES: [u64; 3] = [1 << 20, 16 << 20, 256 << 20];
-
-/// The epoch axis of the sweep (microseconds of virtual time).
-const EPOCHS_US: [u64; 2] = [100, 1_000];
-
-/// The single `WearAware` point, run at the roomiest HotCold configuration
-/// to show the write-penalty's effect in isolation.
-const WEAR_CAPACITY: u64 = 256 << 20;
+use memtier_bench::sweeps;
 
 fn main() {
-    let args = BenchArgs::parse();
-    let apps = args.apps();
-    let jobs = args.jobs_or(campaign_threads());
-    let (size, dir, check) = (args.size, args.dir, args.check);
-
-    // Per app: the two static endpoints, the HotCold grid, one WearAware
-    // point. Dynamic runs bind to NVM_NEAR — the tier the engine promotes
-    // *out of*, and the static endpoint it has to beat.
-    let mut scenarios = Vec::new();
-    for app in &apps {
-        scenarios.push(Scenario::default_conf(app, size, TierId::LOCAL_DRAM));
-        scenarios.push(Scenario::default_conf(app, size, TierId::NVM_NEAR));
-        for &cap in &CAPACITIES {
-            for &epoch_us in &EPOCHS_US {
-                scenarios.push(
-                    Scenario::default_conf(app, size, TierId::NVM_NEAR)
-                        .with_placement(PlacementSpec::hot_cold(cap, SimTime::from_us(epoch_us))),
-                );
-            }
-        }
-        scenarios.push(
-            Scenario::default_conf(app, size, TierId::NVM_NEAR).with_placement(
-                PlacementSpec::wear_aware(WEAR_CAPACITY, SimTime::from_us(EPOCHS_US[1])),
-            ),
-        );
-    }
-    eprintln!(
-        "sweeping {} scenarios ({} apps x {} policies, {size})…",
-        scenarios.len(),
-        apps.len(),
-        scenarios.len() / apps.len()
-    );
-    let results = parallel_sweep(&scenarios, jobs, |s| run_scenario(s).expect("policy sweep"));
-
-    check_conservation(&results);
-    check_ordering(&apps, &results);
-    print_sweep(&apps, &results);
-
-    let path = format!("{dir}/BENCH_policy.json");
-    write_json_artifact(&path, &bench_policy_entries(&results));
-
-    if check {
-        verify(&path, &results);
-        println!("  check passed: artifact parses, stays consistent, and regenerates identically");
-    }
-}
-
-/// Every dynamic run's migration traffic must be visible in the hotness
-/// report and conserve against the machine counters in exact integers: the
-/// `migration` ledger object carries each migration's read at the source
-/// tier plus its write at the destination, i.e. exactly `2 × bytes_moved`.
-fn check_conservation(results: &[ScenarioResult]) {
-    for r in results {
-        assert!(
-            r.hotness.conserves(&r.counters),
-            "per-object attribution must partition the counters for {}",
-            r.scenario.label()
-        );
-        let migration_bytes: u64 = r
-            .hotness
-            .objects
-            .iter()
-            .filter(|o| o.label == "migration")
-            .map(|o| o.total_bytes)
-            .sum();
-        assert_eq!(
-            migration_bytes,
-            2 * r.migrations.bytes_moved,
-            "migration ledger bytes must equal 2x the engine's bytes_moved for {}",
-            r.scenario.label()
-        );
-        if r.scenario.placement.is_none() {
-            assert_eq!(
-                r.migrations,
-                Default::default(),
-                "static runs must not migrate: {}",
-                r.scenario.label()
-            );
-        }
-    }
-}
-
-/// The acceptance ordering, per workload: every HotCold point loses to the
-/// all-DRAM endpoint, and the best HotCold point beats the static NVM_NEAR
-/// endpoint it started from.
-fn check_ordering(apps: &[String], results: &[ScenarioResult]) {
-    for app in apps {
-        let (dram, nvm, best) = endpoints(app, results);
-        for r in hot_cold_runs(app, results) {
-            assert!(
-                r.elapsed_s > dram,
-                "{}: HotCold ({:.6}s) must lose to all-DRAM ({dram:.6}s)",
-                r.scenario.label(),
-                r.elapsed_s
-            );
-        }
-        assert!(
-            best.elapsed_s < nvm,
-            "{}: best HotCold ({:.6}s) must beat static NVM_NEAR ({nvm:.6}s)",
-            best.scenario.label(),
-            best.elapsed_s
-        );
-    }
-}
-
-/// The app's static endpoints and its fastest HotCold run.
-fn endpoints<'a>(app: &str, results: &'a [ScenarioResult]) -> (f64, f64, &'a ScenarioResult) {
-    let statics: Vec<&ScenarioResult> = results
-        .iter()
-        .filter(|r| r.scenario.workload == app && r.scenario.placement.is_none())
-        .collect();
-    let dram = statics
-        .iter()
-        .find(|r| r.scenario.tier == TierId::LOCAL_DRAM)
-        .expect("all-DRAM endpoint")
-        .elapsed_s;
-    let nvm = statics
-        .iter()
-        .find(|r| r.scenario.tier == TierId::NVM_NEAR)
-        .expect("NVM endpoint")
-        .elapsed_s;
-    let best = hot_cold_runs(app, results)
-        .into_iter()
-        .min_by(|a, b| a.elapsed_s.partial_cmp(&b.elapsed_s).unwrap())
-        .expect("HotCold runs");
-    (dram, nvm, best)
-}
-
-fn hot_cold_runs<'a>(app: &str, results: &'a [ScenarioResult]) -> Vec<&'a ScenarioResult> {
-    results
-        .iter()
-        .filter(|r| {
-            r.scenario.workload == app
-                && matches!(r.scenario.placement, Some(PlacementSpec::HotCold { .. }))
-        })
-        .collect()
-}
-
-/// The sweep table: each run's runtime against the two static endpoints,
-/// plus what the engine did to get there.
-fn print_sweep(apps: &[String], results: &[ScenarioResult]) {
-    let mut t = AsciiTable::new(vec![
-        "scenario",
-        "policy",
-        "runtime (s)",
-        "vs DRAM",
-        "vs NVM",
-        "migrations",
-        "promoted",
-        "moved (MB)",
-    ])
-    .title("Placement-policy sweep (dynamic engine vs static membind endpoints)");
-    for app in apps {
-        let (dram, nvm, _) = endpoints(app, results);
-        for r in results.iter().filter(|r| &r.scenario.workload == app) {
-            let policy = r
-                .scenario
-                .placement
-                .as_ref()
-                .map(|s| s.label())
-                .unwrap_or_else(|| "static".to_string());
-            t.row(vec![
-                r.scenario.label(),
-                policy,
-                fmt_f64(r.elapsed_s, 4),
-                pct(r.elapsed_s / dram - 1.0),
-                pct(r.elapsed_s / nvm - 1.0),
-                r.migrations.migrations.to_string(),
-                r.migrations.promotions.to_string(),
-                fmt_f64(r.migrations.bytes_moved as f64 / 1e6, 2),
-            ]);
-        }
-    }
-    println!("{}", t.render());
-}
-
-/// The CI smoke checks: the artifact re-read from disk parses, each entry is
-/// internally consistent, and re-running one dynamic scenario reproduces its
-/// row byte-for-byte (determinism end to end, through serialization).
-fn verify(path: &str, results: &[ScenarioResult]) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("read {path}: {e}")));
-    let entries: Vec<BenchPolicyEntry> = serde_json::from_str(&text)
-        .unwrap_or_else(|e| fail(format!("{path} is not a valid policy baseline: {e}")));
-    if entries.is_empty() {
-        fail(format!("{path} is empty"));
-    }
-    for e in &entries {
-        if e.virtual_runtime_s <= 0.0 {
-            fail(format!("{path}: {} has a non-positive runtime", e.scenario));
-        }
-        let m = &e.migrations;
-        if m.migrations != m.promotions + m.demotions {
-            fail(format!(
-                "{path}: {} migration counts are inconsistent: {m:?}",
-                e.scenario
-            ));
-        }
-        if e.policy == "static" && *m != Default::default() {
-            fail(format!(
-                "{path}: static run {} reports migrations: {m:?}",
-                e.scenario
-            ));
-        }
-    }
-
-    // Re-run the first dynamic scenario and require its regenerated row to
-    // match the one on disk exactly.
-    let scenario = results
-        .iter()
-        .find(|r| r.scenario.placement.is_some())
-        .expect("a dynamic run")
-        .scenario
-        .clone();
-    let rerun = run_scenario(&scenario).unwrap_or_else(|e| fail(format!("re-run: {e}")));
-    let fresh = bench_policy_entries(std::slice::from_ref(&rerun));
-    let on_disk = entries
-        .iter()
-        .find(|e| e.scenario == scenario.label())
-        .unwrap_or_else(|| fail(format!("{} missing from {path}", scenario.label())));
-    let a = serde_json::to_string(&fresh[0]).expect("serialize fresh entry");
-    let b = serde_json::to_string(on_disk).expect("serialize disk entry");
-    if a != b {
-        fail(format!(
-            "{} does not regenerate byte-identically:\n fresh: {a}\n disk:  {b}",
-            scenario.label()
-        ));
-    }
-    println!(
-        "  determinism: {} regenerated byte-identically",
-        scenario.label()
-    );
+    sweeps::run(&sweeps::policy());
 }

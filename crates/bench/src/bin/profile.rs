@@ -1,6 +1,5 @@
-//! Critical-path profiler harness: run the whole suite across tiers, print
-//! each run's conserved virtual-time attribution, demonstrate the
-//! analytical what-if engine, and write the machine-readable perf baseline.
+//! The `profile` harness: [`memtier_bench::sweeps::profile`] — which says
+//! what it sweeps, asserts and tabulates — on the shared pipeline.
 //!
 //! ```text
 //! cargo run --release -p memtier-bench --bin profile
@@ -8,178 +7,13 @@
 //! # -> results/BENCH_profile.json   (consolidated baseline)
 //! ```
 //!
-//! Flags: `--size tiny|small|large` (default `tiny`), `--dir <path>`
-//! (default `results`), and `--check` to re-read every artifact and verify
-//! it parses, conserves, and that the what-if prediction stays within 10 %
-//! of an actual perturbed re-run (the CI profile-smoke step).
+//! Flags: the shared sweep flags ([`memtier_bench::BenchArgs`]; `--jobs`
+//! defaults to all cores). `--check` re-reads every artifact and, in place
+//! of an unchanged re-run, requires the what-if prediction to stay within
+//! 10 % of an actual perturbed re-run (the CI profile-smoke step).
 
-use memtier_bench::{
-    bench_profile_entries, campaign_threads, check_fail as fail, suite_apps, write_bench_profile,
-    write_json_artifact, BenchArgs,
-};
-use memtier_core::{conf_for, run_scenario_with_conf, run_scenarios, Scenario, ScenarioResult};
-use memtier_memsim::TierId;
-use memtier_metrics::table::fmt_f64;
-use memtier_metrics::AsciiTable;
-use memtier_workloads::DataSize;
-use sparklite::{reprice, WhatIf};
-
-/// The what-if scenario the harness demonstrates and validates: double the
-/// DCPM (Tier 2) write-drain rate, i.e. halve its idle write latency.
-const WHATIF_LABEL: &str = "2x Tier-2 write bandwidth (idle write latency / 2)";
+use memtier_bench::sweeps;
 
 fn main() {
-    let args = BenchArgs::parse();
-    let (size, dir, check) = (args.size, args.dir, args.check);
-
-    let apps = suite_apps();
-    let scenarios: Vec<Scenario> = apps
-        .iter()
-        .flat_map(|app| {
-            TierId::all()
-                .into_iter()
-                .map(move |t| Scenario::default_conf(app, size, t))
-        })
-        .collect();
-    eprintln!(
-        "profiling {} scenarios ({} apps x {} tiers, {size})…",
-        scenarios.len(),
-        apps.len(),
-        TierId::all().len()
-    );
-    let results = run_scenarios(&scenarios, campaign_threads()).expect("profile campaign");
-    for r in &results {
-        assert!(
-            r.profile.conserves(),
-            "attribution must conserve for {}",
-            r.scenario.label()
-        );
-    }
-
-    print_attribution(&results);
-
-    for app in &apps {
-        let app_results: Vec<ScenarioResult> = results
-            .iter()
-            .filter(|r| &r.scenario.workload == app)
-            .cloned()
-            .collect();
-        let path = format!("{dir}/profile_{app}.json");
-        write_json_artifact(&path, &bench_profile_entries(&app_results));
-    }
-    let baseline_path = format!("{dir}/BENCH_profile.json");
-    write_bench_profile(&baseline_path, &results);
-
-    // What-if demo on the Tier-2 run of every app: analytically re-price
-    // the critical path under WHATIF_LABEL.
-    println!("## What-if: {WHATIF_LABEL}");
-    let whatif = halved_t2_write_whatif();
-    for r in results
-        .iter()
-        .filter(|r| r.scenario.tier == TierId::NVM_NEAR)
-    {
-        let w = reprice(&r.profile, &whatif);
-        println!(
-            "{:<24} {:.3}s -> {:.3}s predicted ({:.2}x)",
-            r.scenario.label(),
-            w.baseline_s,
-            w.predicted_s,
-            w.speedup
-        );
-    }
-
-    if check {
-        verify(&dir, &apps, &results, size);
-        println!("  check passed: artifacts parse, conserve, and the what-if validates");
-    }
-}
-
-/// The [`WhatIf`] for halved Tier-2 idle write latency.
-fn halved_t2_write_whatif() -> WhatIf {
-    let base = memtier_memsim::MemSimConfig::paper_default();
-    let mut fast = base.clone();
-    fast.tiers[TierId::NVM_NEAR.index()].idle_write_latency_ns /= 2.0;
-    WhatIf::from_configs(&base, &fast)
-}
-
-/// Per-run attribution table: where the critical path spends its time.
-fn print_attribution(results: &[ScenarioResult]) {
-    let mut t = AsciiTable::new(vec![
-        "scenario",
-        "runtime (s)",
-        "compute",
-        "shuffle fetch",
-        "queue",
-        "driver",
-        "mem read",
-        "mem write",
-    ])
-    .title("Critical-path attribution (component share of virtual runtime)");
-    for r in results {
-        let a = &r.profile.attribution;
-        let share = |x: memtier_des::SimTime| fmt_f64(x.as_secs_f64() / r.elapsed_s.max(1e-12), 3);
-        let read: memtier_des::SimTime = a.mem_read.iter().copied().sum();
-        let write: memtier_des::SimTime = a.mem_write.iter().copied().sum();
-        t.row(vec![
-            r.scenario.label(),
-            fmt_f64(r.elapsed_s, 3),
-            share(a.compute),
-            share(a.shuffle_fetch),
-            share(a.sched_queue),
-            share(a.driver),
-            share(read),
-            share(write),
-        ]);
-    }
-    println!("{}", t.render());
-}
-
-/// The CI smoke checks: artifacts re-read from disk parse and conserve, and
-/// the analytical what-if matches an actual perturbed re-run within 10 %.
-fn verify(dir: &str, apps: &[String], results: &[ScenarioResult], size: DataSize) {
-    for path in apps
-        .iter()
-        .map(|app| format!("{dir}/profile_{app}.json"))
-        .chain(std::iter::once(format!("{dir}/BENCH_profile.json")))
-    {
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| fail(format!("read {path}: {e}")));
-        let entries: Vec<memtier_bench::BenchProfileEntry> = serde_json::from_str(&text)
-            .unwrap_or_else(|e| fail(format!("{path} is not a valid baseline: {e}")));
-        if entries.is_empty() {
-            fail(format!("{path} is empty"));
-        }
-        for e in &entries {
-            if e.conservation_gap_s() > 1e-9 {
-                fail(format!(
-                    "{path}: {} attribution does not conserve (gap {:.3e}s)",
-                    e.scenario,
-                    e.conservation_gap_s()
-                ));
-            }
-        }
-    }
-
-    // Validate the what-if against reality: actually re-run one scenario
-    // with the perturbed tier parameters and compare.
-    let scenario = Scenario::default_conf("repartition", size, TierId::NVM_NEAR);
-    let baseline = results
-        .iter()
-        .find(|r| r.scenario == scenario)
-        .unwrap_or_else(|| fail("baseline repartition run missing".to_string()));
-    let predicted = reprice(&baseline.profile, &halved_t2_write_whatif());
-    let mut conf = conf_for(&scenario);
-    conf.memsim.tiers[TierId::NVM_NEAR.index()].idle_write_latency_ns /= 2.0;
-    let actual = run_scenario_with_conf(&scenario, conf)
-        .unwrap_or_else(|e| fail(format!("perturbed re-run: {e}")));
-    let err = (predicted.predicted_s - actual.elapsed_s).abs() / actual.elapsed_s;
-    println!(
-        "  what-if validation: predicted {:.4}s vs actual {:.4}s ({:+.1}% error)",
-        predicted.predicted_s,
-        actual.elapsed_s,
-        err * 100.0
-    );
-    if err > 0.10 {
-        fail(format!("what-if prediction off by {:.1}%", err * 100.0));
-    }
+    sweeps::run(&sweeps::profile());
 }

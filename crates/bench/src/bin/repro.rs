@@ -7,7 +7,9 @@
 //! cargo run --release -p memtier-bench --bin repro [-- --out REPORT.md]
 //! ```
 
-use memtier_bench::{campaign_threads, write_bench_profile};
+use memtier_bench::{
+    arg_value, bench_profile_entries, campaign_threads, write_json_artifact, write_text_artifact,
+};
 use memtier_core::campaign::{
     by_workload_size, fig2_campaign, fig3_campaign, fig4_grid, FIG4_APPS, FIG4_CORES,
     FIG4_EXECUTORS,
@@ -22,16 +24,9 @@ use std::fmt::Write as _;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "REPORT.md".to_string());
-    let profile_path = args
-        .iter()
-        .position(|a| a == "--profile-out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_profile.json".to_string());
+    let out_path = arg_value(&args, "--out").unwrap_or_else(|| "REPORT.md".to_string());
+    let profile_path =
+        arg_value(&args, "--profile-out").unwrap_or_else(|| "BENCH_profile.json".to_string());
     let threads = campaign_threads();
     let mut md = String::new();
 
@@ -221,7 +216,7 @@ fn main() {
     writeln!(md, "\n**{pass}/8 takeaways reproduced.**").unwrap();
 
     // --- Critical-path attribution (perf baseline) -------------------------
-    write_bench_profile(&profile_path, &fig2);
+    write_json_artifact(&profile_path, &bench_profile_entries(&fig2));
     writeln!(md, "\n## Critical-path attribution (perf baseline)\n").unwrap();
     writeln!(
         md,
@@ -279,7 +274,7 @@ fn main() {
         .unwrap();
     }
 
-    std::fs::write(&out_path, md).expect("write report");
+    write_text_artifact(&out_path, &md);
     eprintln!("wrote {out_path} ({pass}/8 takeaways)");
     if pass < 8 {
         std::process::exit(1);

@@ -1,267 +1,18 @@
-//! Simulator throughput baseline (`simspeed`): how fast is the engine
-//! itself? Runs the whole suite across tiers with the engine self-profiler
-//! on, plus a synthetic wide-DAG stressor, and reports events/sec,
-//! tasks/sec and the virtual-to-wall speedup per run alongside each run's
-//! top wall-clock hotspots.
+//! The `simspeed` harness: [`memtier_bench::sweeps::simspeed`] — which says
+//! what it measures and tabulates — on the shared pipeline.
 //!
 //! ```text
 //! cargo run --release -p memtier-bench --bin simspeed
 //! # -> results/BENCH_simspeed.json
 //! ```
 //!
-//! Unlike every other harness, scenarios run **sequentially by default**
-//! (`--jobs 1`): wall-clock throughput is the measurement here, and
-//! concurrent runs would share cores and depress each other's numbers. An
-//! explicit `--jobs N` still works — the deterministic fields are identical
-//! at any width; only the wall-clock sidecar columns degrade.
-//!
-//! Flags: `--size tiny|small|large` (default `tiny`), `--dir <path>`
-//! (default `results`), `--app <name>` to measure a single workload (the CI
-//! simspeed-smoke step uses this), `--jobs <n>` (default 1, see above), and
-//! `--check` to re-read the artifact and verify it parses, its rows are
-//! sane, its deterministic fields regenerate byte-identically, and
-//! profiling stays byte-invisible to the virtual results.
+//! Flags: the shared sweep flags ([`memtier_bench::BenchArgs`]), and `--app
+//! <name>` to measure a single workload (the CI simspeed-smoke step uses
+//! this). `--jobs` defaults to 1 here — wall-clock is the measurement — and
+//! an explicit `--jobs N` degrades only the wall-clock sidecar columns.
 
-use memtier_bench::{
-    bench_simspeed_entries, check_fail as fail, compare_runtimes, parallel_sweep, simspeed_row,
-    write_json_artifact, BenchArgs, BenchSimspeedEntry, RuntimeRow,
-};
-use memtier_core::{run_scenario, run_scenario_profiled, Scenario};
-use memtier_memsim::TierId;
-use memtier_metrics::table::fmt_f64;
-use memtier_metrics::AsciiTable;
-use memtier_workloads::DataSize;
-use sparklite::{OpCost, SparkConf, SparkContext};
-
-/// App label of the synthetic stressor row (not a suite workload).
-const STRESS_APP: &str = "dag-stress";
+use memtier_bench::sweeps;
 
 fn main() {
-    let args = BenchArgs::parse();
-    let apps = args.apps();
-    // Sequential unless --jobs says otherwise: wall-clock is the measurement.
-    let jobs = args.jobs_or(1);
-    let (size, dir, check) = (args.size, args.dir, args.check);
-
-    let scenarios: Vec<Scenario> = apps
-        .iter()
-        .flat_map(|app| {
-            TierId::all()
-                .into_iter()
-                .map(move |t| Scenario::default_conf(app, size, t))
-        })
-        .collect();
-    eprintln!(
-        "measuring {} suite scenarios + 1 synthetic stressor ({size}, {jobs} worker{})…",
-        scenarios.len(),
-        if jobs == 1 {
-            " — wall-clock is the measurement"
-        } else {
-            "s: wall-clock columns will share cores"
-        }
-    );
-
-    let results = parallel_sweep(&scenarios, jobs, |s| {
-        let r = run_scenario_profiled(s).expect("simspeed run");
-        let e = r.engine.as_ref().expect("profiled run carries EngineStats");
-        eprintln!("{}: {}", r.scenario.label(), e.summary());
-        r
-    });
-    let mut entries = bench_simspeed_entries(&results);
-    entries.push(dag_stress_entry(size));
-
-    print_throughput(&entries);
-    let path = format!("{dir}/BENCH_simspeed.json");
-    write_json_artifact(&path, &entries);
-
-    if check {
-        verify(&path, &scenarios[0]);
-        println!(
-            "  check passed: artifact parses, rows are sane, deterministic fields \
-             regenerate identically, and profiling is byte-invisible"
-        );
-    }
-}
-
-/// A deterministic 64-bit mixer (SplitMix-style) so the stressor needs no
-/// RNG state: record contents are a pure function of the index.
-fn mix(x: u64) -> u64 {
-    let x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^ (x >> 27)
-}
-
-/// The synthetic DAG stressor: a shuffle cascade (generate → map →
-/// reduce_by_key → partition_by → join → sort_by_key → count) much wider
-/// than any suite workload. It exists to stress the event queue and the
-/// `SharedResource` re-share path — the engine's known hot spots — rather
-/// than to model anything; its virtual result is still deterministic and
-/// gated like every other row.
-fn dag_stress_entry(size: DataSize) -> BenchSimspeedEntry {
-    let (records, partitions) = match size {
-        DataSize::Tiny => (2_000usize, 16usize),
-        DataSize::Small => (20_000, 32),
-        DataSize::Large => (100_000, 64),
-    };
-    let conf = SparkConf::bound_to_tier(TierId::NVM_NEAR)
-        .with_parallelism(partitions)
-        .with_engine_profiling();
-    let sc = SparkContext::new(conf).expect("stressor context");
-
-    let per_part = records / partitions;
-    let input = sc.generate(
-        partitions,
-        move |part| {
-            (0..per_part)
-                .map(|i| {
-                    let x = mix((part * per_part + i) as u64);
-                    (x % 4096, x)
-                })
-                .collect::<Vec<(u64, u64)>>()
-        },
-        OpCost::cpu(40.0),
-    );
-    let left = input
-        .map(|&(k, v)| (k % 1024, v))
-        .reduce_by_key(u64::wrapping_add);
-    let right = input
-        .map(|&(k, v)| (k % 1024, v.rotate_left(7)))
-        .partition_by(partitions);
-    let joined = left.join(&right, partitions);
-    let sorted = joined
-        .map(|&(k, (a, b))| (a ^ b ^ k, k))
-        .sort_by_key(partitions)
-        .expect("stressor sort");
-    let n = sorted.count().expect("stressor count");
-    assert!(n > 0, "stressor produced no records");
-
-    let report = sc.finish();
-    let engine = report
-        .engine
-        .expect("profiled stressor carries EngineStats");
-    eprintln!("{STRESS_APP}-{size}: {}", engine.summary());
-    simspeed_row(
-        STRESS_APP.to_string(),
-        format!("{STRESS_APP}-{size}@Tier 2, {partitions}p"),
-        report.elapsed.as_secs_f64(),
-        report.metrics.tasks,
-        &engine,
-    )
-}
-
-/// The throughput table: per run, how much work the engine did and how fast
-/// it did it.
-fn print_throughput(entries: &[BenchSimspeedEntry]) {
-    let mut t = AsciiTable::new(vec![
-        "scenario",
-        "virtual (s)",
-        "wall (ms)",
-        "events",
-        "events/s",
-        "tasks/s",
-        "virtual/wall",
-    ])
-    .title("Simulator throughput (wall-clock columns vary by host; the rest is deterministic)");
-    for e in entries {
-        t.row(vec![
-            e.scenario.clone(),
-            fmt_f64(e.virtual_runtime_s, 4),
-            fmt_f64(e.wall_ms, 1),
-            e.events_total.to_string(),
-            fmt_f64(e.events_per_sec, 0),
-            fmt_f64(e.tasks_per_sec, 0),
-            fmt_f64(e.virtual_to_wall, 2),
-        ]);
-    }
-    println!("{}", t.render());
-}
-
-/// The CI smoke checks: the artifact re-read from disk parses and stays
-/// sane; re-running one scenario reproduces the deterministic projection of
-/// its row byte-for-byte (wall-clock fields are expected to differ); the
-/// re-run row joins its on-disk twin cleanly through `compare` at tolerance
-/// zero; and an unprofiled run of the same scenario is virtual-identical to
-/// the profiled one.
-fn verify(path: &str, scenario: &Scenario) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("read {path}: {e}")));
-    let entries: Vec<BenchSimspeedEntry> = serde_json::from_str(&text)
-        .unwrap_or_else(|e| fail(format!("{path} is not a valid simspeed baseline: {e}")));
-    if entries.is_empty() {
-        fail(format!("{path} is empty"));
-    }
-    for e in &entries {
-        if e.virtual_runtime_s <= 0.0 || e.events_total == 0 || e.tasks == 0 {
-            fail(format!(
-                "{path}: {} has empty deterministic fields",
-                e.scenario
-            ));
-        }
-        if e.wall_ms <= 0.0 || e.events_per_sec <= 0.0 || e.tasks_per_sec <= 0.0 {
-            fail(format!("{path}: {} has an empty sidecar", e.scenario));
-        }
-        if !e.virtual_to_wall.is_finite() {
-            fail(format!(
-                "{path}: {} has a non-finite virtual-to-wall ratio",
-                e.scenario
-            ));
-        }
-    }
-    if !entries.iter().any(|e| e.app == STRESS_APP) {
-        fail(format!("{path} is missing the {STRESS_APP} row"));
-    }
-
-    // Determinism through serialization: a fresh profiled run of the first
-    // suite scenario must reproduce its on-disk row's deterministic
-    // projection exactly, even though its wall-clock sidecar differs.
-    let rerun = run_scenario_profiled(scenario).unwrap_or_else(|e| fail(format!("re-run: {e}")));
-    let fresh = bench_simspeed_entries(std::slice::from_ref(&rerun));
-    let on_disk = entries
-        .iter()
-        .find(|e| e.scenario == scenario.label())
-        .unwrap_or_else(|| fail(format!("{} missing from {path}", scenario.label())));
-    if fresh[0].deterministic_json() != on_disk.deterministic_json() {
-        fail(format!(
-            "{} deterministic fields do not regenerate identically:\n fresh: {}\n disk:  {}",
-            scenario.label(),
-            fresh[0].deterministic_json(),
-            on_disk.deterministic_json()
-        ));
-    }
-
-    // And the artifact feeds `compare` like every other baseline: the
-    // re-run row joins its on-disk twin with a delta of exactly zero —
-    // wall-clock fields are invisible to the gate by construction.
-    let disk_rows: Vec<RuntimeRow> = serde_json::from_str(&text)
-        .unwrap_or_else(|e| fail(format!("{path} does not load as runtime rows: {e}")));
-    let fresh_rows: Vec<RuntimeRow> =
-        serde_json::from_str(&serde_json::to_string(&fresh).expect("serialize fresh row"))
-            .unwrap_or_else(|e| fail(format!("fresh row does not load as a runtime row: {e}")));
-    let disk_row = disk_rows
-        .iter()
-        .find(|r| r.scenario == scenario.label())
-        .cloned()
-        .unwrap_or_else(|| fail(format!("{} missing from runtime rows", scenario.label())));
-    let (deltas, unmatched) = compare_runtimes(&[disk_row], &fresh_rows);
-    if !unmatched.is_empty() || deltas.iter().any(|d| d.out_of_tolerance(0.0)) {
-        fail(format!(
-            "re-run drifted through `compare` at tolerance 0: {deltas:?} {unmatched:?}"
-        ));
-    }
-
-    // The firewall itself: an unprofiled run of the same scenario is
-    // byte-identical to the profiled one outside the sidecar.
-    let plain = run_scenario(scenario).unwrap_or_else(|e| fail(format!("plain re-run: {e}")));
-    if plain.engine.is_some() {
-        fail("unprofiled run grew an engine sidecar".to_string());
-    }
-    if plain.virtual_identity_json() != rerun.virtual_identity_json() {
-        fail(format!(
-            "profiling changed virtual results for {}",
-            scenario.label()
-        ));
-    }
-    println!(
-        "  determinism: {} regenerated identically; profiling is byte-invisible",
-        scenario.label()
-    );
+    sweeps::run(&sweeps::simspeed());
 }

@@ -12,26 +12,16 @@
 //! <path>`, `--events <path>`, and `--check` to re-read both artifacts and
 //! verify they parse and conserve counters (the CI trace-smoke step).
 
-use memtier_bench::arg_value as arg;
+use memtier_bench::{arg_value as arg, check_fail as fail, write_text_artifact, BenchArgs};
 use memtier_core::{run_scenario_instrumented, Scenario, TelemetryOptions};
 use memtier_memsim::TierId;
-use memtier_workloads::DataSize;
 use sparklite::parse_jsonl;
-use std::path::Path;
 use std::process::exit;
 
 fn main() {
+    let common = BenchArgs::parse(&["--workload", "--tier", "--trace", "--events"]);
     let args: Vec<String> = std::env::args().collect();
     let workload = arg(&args, "--workload").unwrap_or_else(|| "repartition".to_string());
-    let size = match arg(&args, "--size").as_deref() {
-        None | Some("tiny") => DataSize::Tiny,
-        Some("small") => DataSize::Small,
-        Some("large") => DataSize::Large,
-        Some(other) => {
-            eprintln!("unknown --size {other:?} (want tiny|small|large)");
-            exit(2);
-        }
-    };
     let tier = match arg(&args, "--tier").map(|t| t.parse::<usize>()) {
         None => TierId::NVM_NEAR,
         Some(Ok(i)) if i < TierId::all().len() => TierId::all()[i],
@@ -43,22 +33,15 @@ fn main() {
     let trace_path = arg(&args, "--trace").unwrap_or_else(|| "results/trace_demo.json".to_string());
     let events_path =
         arg(&args, "--events").unwrap_or_else(|| "results/events_demo.jsonl".to_string());
-    let check = args.iter().any(|a| a == "--check");
 
-    let scenario = Scenario::default_conf(&workload, size, tier);
+    let scenario = Scenario::default_conf(&workload, common.size, tier);
     eprintln!("running {} with telemetry on…", scenario.label());
     let (result, telemetry) =
         run_scenario_instrumented(&scenario, &TelemetryOptions::default()).expect("scenario run");
 
-    for path in [&trace_path, &events_path] {
-        if let Some(dir) = Path::new(path).parent() {
-            std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("mkdir {dir:?}: {e}"));
-        }
-    }
     let trace_json = telemetry.trace_json.as_deref().expect("tracing was on");
-    std::fs::write(&trace_path, trace_json).unwrap_or_else(|e| panic!("write {trace_path}: {e}"));
-    std::fs::write(&events_path, sparklite::to_jsonl(&telemetry.events))
-        .unwrap_or_else(|e| panic!("write {events_path}: {e}"));
+    write_text_artifact(&trace_path, trace_json);
+    write_text_artifact(&events_path, &sparklite::to_jsonl(&telemetry.events));
 
     println!(
         "{}: {:.3}s virtual, {} stages, {} tasks",
@@ -75,15 +58,10 @@ fn main() {
     );
     println!("  wrote {trace_path} and {events_path}");
 
-    if check {
+    if common.check {
         verify(&trace_path, &events_path, &result, &telemetry);
         println!("  check passed: artifacts parse and counters conserve");
     }
-}
-
-fn fail(msg: String) -> ! {
-    eprintln!("check FAILED: {msg}");
-    exit(1);
 }
 
 /// Re-read both artifacts from disk and verify the acceptance properties:

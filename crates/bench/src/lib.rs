@@ -4,7 +4,10 @@
 //! plus Criterion benches (`benches/`) that time the underlying campaigns
 //! and the ablations DESIGN.md calls out. Every binary prints the same rows
 //! or series the paper reports and, with `--json <path>`, also dumps the raw
-//! results for EXPERIMENTS.md regeneration.
+//! results for EXPERIMENTS.md regeneration. The seven sweep harnesses
+//! (`doctor`, `hotness`, `profile`, `policy`, `faults`, `netsweep`,
+//! `simspeed`) are one pipeline, [`sweeps::run`], applied to seven
+//! [`sweeps::Sweep`] descriptions.
 //!
 //! ## Exit codes
 //!
@@ -14,14 +17,20 @@
 //! * `1` — a substantive failure: a `--check` self-check failed
 //!   ([`check_fail`]) or the `compare` gate found a regression / drifted
 //!   scenario set.
-//! * `2` — usage or I/O errors: unknown flags or values, unreadable or
-//!   unparsable input artifacts, unwritable output paths
-//!   ([`write_json_artifact`]).
+//! * `2` — usage or I/O errors: unknown flags or values
+//!   ([`BenchArgs::parse`]), unreadable or unparsable input artifacts
+//!   ([`load_baseline`]), unwritable output paths
+//!   ([`write_text_artifact`]).
 
 #![warn(missing_docs)]
 
+pub mod sweeps;
+
 use memtier_core::ScenarioResult;
+use memtier_des::SimTime;
 use memtier_memsim::MigrationStats;
+use memtier_metrics::table::fmt_f64;
+use memtier_metrics::AsciiTable;
 use memtier_workloads::{all_workloads, DataSize};
 use serde::{Deserialize, Serialize};
 use sparklite::{
@@ -37,60 +46,19 @@ pub fn campaign_threads() -> usize {
         .unwrap_or(4)
 }
 
-/// Run `f` over `items` on up to `jobs` worker threads, returning results
-/// in **input order** regardless of completion order.
-///
-/// This is the determinism contract behind the sweep bins' shared `--jobs`
-/// flag (DESIGN.md §16): each item is an independent, internally
-/// deterministic computation (a scenario simulation), workers pull items
-/// off a shared atomic cursor, and every result lands in the slot of its
-/// input index — so the output vector is byte-identical for any worker
-/// count. `jobs <= 1` runs inline on the caller thread, which *is* the
-/// sequential loop.
-///
-/// A panicking item panics the sweep (std `thread::scope` propagates it),
-/// matching the sequential behavior of `f` panicking mid-loop.
-pub fn parallel_sweep<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let jobs = jobs.clamp(1, items.len().max(1));
-    if jobs == 1 {
-        return items.iter().map(&f).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    {
-        let locked: Vec<std::sync::Mutex<&mut Option<R>>> =
-            slots.iter_mut().map(std::sync::Mutex::new).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let r = f(&items[i]);
-                    **locked[i].lock().expect("sweep slot poisoned") = Some(r);
-                });
-            }
-        });
-    }
-    slots
-        .into_iter()
-        .map(|r| r.expect("sweep worker left a hole"))
-        .collect()
-}
-
 /// Parse `--flag <value>` from an argv slice.
 pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .cloned()
+}
+
+/// Abort with a usage or I/O error: print the message and exit with
+/// status 2.
+fn usage_fail(msg: String) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
 /// Abort a `--check` run: print the failure and exit with status 1 (the CI
@@ -101,12 +69,16 @@ pub fn check_fail(msg: String) -> ! {
 }
 
 /// The workload names of the full suite, in suite order.
-pub fn suite_apps() -> Vec<String> {
+pub(crate) fn suite_apps() -> Vec<String> {
     all_workloads()
         .iter()
         .map(|w| w.name().to_string())
         .collect()
 }
+
+/// The value-taking flags every harness shares; `--check` is the one
+/// switch.
+const COMMON_FLAGS: [&str; 4] = ["--size", "--dir", "--app", "--jobs"];
 
 /// The common CLI surface of the bench harnesses: `--size tiny|small|large`
 /// (default `tiny`), `--dir <path>` (default `results`), `--check`,
@@ -124,13 +96,26 @@ pub struct BenchArgs {
     pub app: Option<String>,
     /// Sweep worker threads (`--jobs`), when given. Results are merged in
     /// input order, so any worker count produces byte-identical artifacts
-    /// ([`parallel_sweep`]).
+    /// ([`memtier_core::parallel_sweep`]).
     pub jobs: Option<usize>,
 }
 
 impl BenchArgs {
-    /// Parse from an argv slice; `Err` carries the usage message.
-    pub fn try_parse(args: &[String]) -> Result<BenchArgs, String> {
+    /// [`parse`](Self::parse) over an argv slice; `Err` carries the usage
+    /// message.
+    pub(crate) fn try_parse(args: &[String], extra: &[&str]) -> Result<BenchArgs, String> {
+        let mut rest = args.iter().skip(1);
+        while let Some(flag) = rest.next() {
+            if flag == "--check" {
+                continue;
+            }
+            if !COMMON_FLAGS.contains(&flag.as_str()) && !extra.contains(&flag.as_str()) {
+                return Err(format!("unknown flag {flag:?}"));
+            }
+            if rest.next().is_none() {
+                return Err(format!("{flag} needs a value"));
+            }
+        }
         let size = match arg_value(args, "--size").as_deref() {
             None | Some("tiny") => DataSize::Tiny,
             Some("small") => DataSize::Small,
@@ -155,72 +140,56 @@ impl BenchArgs {
         })
     }
 
-    /// The sweep width: `--jobs` when given, else the harness's default.
-    pub fn jobs_or(&self, default: usize) -> usize {
-        self.jobs.unwrap_or(default)
-    }
-
     /// Parse from the process argv, exiting with status 2 on a bad flag —
-    /// the shared front door of every harness `main`.
-    pub fn parse() -> BenchArgs {
+    /// the shared front door of every harness `main`. `extra` names the
+    /// value-taking flags the binary reads for itself; any other flag, or a
+    /// flag without its value, is a usage error.
+    pub fn parse(extra: &[&str]) -> BenchArgs {
         let args: Vec<String> = std::env::args().collect();
-        BenchArgs::try_parse(&args).unwrap_or_else(|msg| {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        })
+        BenchArgs::try_parse(&args, extra).unwrap_or_else(|msg| usage_fail(msg))
     }
 
     /// The workloads the sweep covers: the whole suite, or just `--app`.
     /// Exits with status 2 when `--app` names an unknown workload.
-    pub fn apps(&self) -> Vec<String> {
+    pub(crate) fn apps(&self) -> Vec<String> {
         let apps = suite_apps();
         match &self.app {
             None => apps,
             Some(app) if apps.contains(app) => vec![app.clone()],
-            Some(app) => {
-                eprintln!("unknown --app {app:?} (want one of {apps:?})");
-                std::process::exit(2);
-            }
+            Some(app) => usage_fail(format!("unknown --app {app:?} (want one of {apps:?})")),
         }
     }
 }
 
-/// Write a JSON artifact: create the parent directory on demand, pretty-
-/// print `entries`, and log the path. Harnesses own their output tree — CI
-/// never has to `mkdir` for them. I/O failures exit with status 2 (the
-/// usage-or-I/O code of the shared exit contract), not a panic — an
-/// unwritable path is an environment problem, not a harness bug.
-pub fn write_json_artifact<T: Serialize>(path: &str, entries: &[T]) {
+/// Write a text artifact, creating the parent directory on demand:
+/// harnesses own their output tree — CI never has to `mkdir` for them. I/O
+/// failures exit with status 2 (the usage-or-I/O code of the shared exit
+/// contract), not a panic — an unwritable path is an environment problem,
+/// not a harness bug.
+pub fn write_text_artifact(path: &str, text: &str) {
     if let Some(parent) = std::path::Path::new(path).parent() {
         if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).unwrap_or_else(|e| {
-                eprintln!("mkdir {}: {e}", parent.display());
-                std::process::exit(2);
-            });
+            std::fs::create_dir_all(parent)
+                .unwrap_or_else(|e| usage_fail(format!("mkdir {}: {e}", parent.display())));
         }
     }
-    let json = serde_json::to_string_pretty(entries).expect("serialize artifact");
-    std::fs::write(path, json).unwrap_or_else(|e| {
-        eprintln!("write {path}: {e}");
-        std::process::exit(2);
-    });
-    eprintln!("wrote {path} ({} entries)", entries.len());
+    std::fs::write(path, text).unwrap_or_else(|e| usage_fail(format!("write {path}: {e}")));
 }
 
-/// Parse `--json <path>` from argv, if present.
-pub fn json_path() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// Write a JSON artifact through [`write_text_artifact`]: pretty-print
+/// `entries` and log the path.
+pub fn write_json_artifact<T: Serialize>(path: &str, entries: &[T]) {
+    let json = serde_json::to_string_pretty(entries).expect("serialize artifact");
+    write_text_artifact(path, &json);
+    eprintln!("wrote {path} ({} entries)", entries.len());
 }
 
 /// Dump a serializable value to the `--json` path when one was given.
 pub fn maybe_dump_json<T: Serialize>(value: &T) {
-    if let Some(path) = json_path() {
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(path) = arg_value(&args, "--json") {
         let json = serde_json::to_string_pretty(value).expect("serialize results");
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        write_text_artifact(&path, &json);
         eprintln!("wrote {path}");
     }
 }
@@ -228,6 +197,43 @@ pub fn maybe_dump_json<T: Serialize>(value: &T) {
 /// Render a ratio as a signed percent string.
 pub fn pct(x: f64) -> String {
     format!("{:+.1}%", x * 100.0)
+}
+
+/// Render where each run's critical path spends its time, as shares of its
+/// virtual runtime (each row sums to 1: the attribution conserves), memory
+/// stall summed over the tiers. Every row leads with its two `lead` cells.
+pub fn attribution_table<'a>(
+    title: &str,
+    lead: [&str; 2],
+    rows: impl IntoIterator<Item = ([String; 2], &'a ScenarioResult)>,
+) -> String {
+    let mut headers = lead.to_vec();
+    headers.extend([
+        "compute",
+        "shuffle fetch",
+        "queue",
+        "driver",
+        "mem read",
+        "mem write",
+    ]);
+    let mut t = AsciiTable::new(headers).title(title);
+    for (lead, r) in rows {
+        let a = &r.profile.attribution;
+        let read: SimTime = a.mem_read.iter().copied().sum();
+        let write: SimTime = a.mem_write.iter().copied().sum();
+        let shares = [
+            a.compute,
+            a.shuffle_fetch,
+            a.sched_queue,
+            a.driver,
+            read,
+            write,
+        ];
+        let mut cells = lead.to_vec();
+        cells.extend(shares.map(|x| fmt_f64(x.as_secs_f64() / r.elapsed_s.max(1e-12), 3)));
+        t.row(cells);
+    }
+    t.render()
 }
 
 /// One row of the machine-readable perf baseline (`BENCH_profile.json`): a
@@ -256,7 +262,7 @@ pub struct BenchProfileEntry {
 impl BenchProfileEntry {
     /// Absolute gap between the attribution sum and the runtime, seconds.
     /// Zero up to float rounding when the profile conserved.
-    pub fn conservation_gap_s(&self) -> f64 {
+    pub(crate) fn conservation_gap_s(&self) -> f64 {
         let total: f64 = self.attribution.values().sum();
         (total - self.virtual_runtime_s).abs()
     }
@@ -274,13 +280,6 @@ pub fn bench_profile_entries(results: &[ScenarioResult]) -> Vec<BenchProfileEntr
             digest: Some(r.digest.clone()),
         })
         .collect()
-}
-
-/// Write the consolidated machine-readable perf baseline to `path` — the
-/// artifact CI archives so perf regressions show up as an attribution diff,
-/// not just a runtime delta.
-pub fn write_bench_profile(path: &str, results: &[ScenarioResult]) {
-    write_json_artifact(path, &bench_profile_entries(results));
 }
 
 /// One row of the object-hotness baseline (`BENCH_hotness.json`): a
@@ -316,7 +315,7 @@ pub struct HotObjectRow {
 }
 
 /// How many hot objects each [`BenchHotnessEntry`] keeps.
-pub const HOTNESS_TOP_K: usize = 10;
+pub(crate) const HOTNESS_TOP_K: usize = 10;
 
 /// Build the hotness-baseline rows for a result set, in input order.
 pub fn bench_hotness_entries(results: &[ScenarioResult]) -> Vec<BenchHotnessEntry> {
@@ -538,7 +537,7 @@ impl BenchSimspeedEntry {
     /// The deterministic projection of this row, as canonical JSON — what
     /// the determinism checks compare. Two generations of the same scenario
     /// agree here byte-for-byte even though their wall-clock fields differ.
-    pub fn deterministic_json(&self) -> String {
+    pub(crate) fn deterministic_json(&self) -> String {
         serde_json::json!({
             "app": self.app,
             "scenario": self.scenario,
@@ -552,7 +551,7 @@ impl BenchSimspeedEntry {
 
 /// Assemble one throughput row from a run's virtual facts and its engine
 /// sidecar — shared by the suite rows and the synthetic DAG stressor.
-pub fn simspeed_row(
+pub(crate) fn simspeed_row(
     app: String,
     scenario: String,
     virtual_runtime_s: f64,
@@ -599,13 +598,13 @@ pub fn bench_simspeed_entries(results: &[ScenarioResult]) -> Vec<BenchSimspeedEn
         .collect()
 }
 
-/// The fields the regression explainer needs from a baseline row: the
-/// `compare` join key plus the run's conserved digest, when the baseline
-/// carries one. Deserializes from any `BENCH_*.json` — rows written before
-/// the explainer (or by digest-less harnesses) load with `digest: None`,
-/// and [`explain_baselines`] reports those as notes instead of failing.
+/// What `compare` and `explain` read from a row of any `BENCH_*.json`: the
+/// join key, the runtime, and the run's conserved digest when the row
+/// carries one (unknown fields are ignored). Rows written before the
+/// explainer, or by digest-less harnesses, load with `digest: None`, and
+/// [`explain_baselines`] reports those as notes instead of failing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DigestRow {
+pub struct RuntimeRow {
     /// Full scenario label; the join key between two baselines.
     pub scenario: String,
     /// End-to-end virtual runtime, seconds.
@@ -613,6 +612,23 @@ pub struct DigestRow {
     /// The run's conserved digest, when the row carries one.
     #[serde(default)]
     pub digest: Option<RunDigest>,
+}
+
+/// Load a baseline for `bin` (the name error messages carry), exiting with
+/// status 2 if it cannot be read, is not an array of rows with `scenario`
+/// and `virtual_runtime_s`, or is empty.
+pub fn load_baseline(bin: &str, path: &str) -> Vec<RuntimeRow> {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| usage_fail(format!("{bin}: read {path}: {e}")));
+    let rows: Vec<RuntimeRow> = serde_json::from_str(&text).unwrap_or_else(|e| {
+        usage_fail(format!(
+            "{bin}: {path} is not a baseline (array of rows with scenario + virtual_runtime_s): {e}"
+        ))
+    });
+    if rows.is_empty() {
+        usage_fail(format!("{bin}: {path} is empty"));
+    }
+    rows
 }
 
 /// One explained scenario: the join label plus the hierarchical diff of its
@@ -631,11 +647,11 @@ pub struct ScenarioExplain {
 /// baseline order) plus human-readable notes for every scenario that could
 /// not be explained: present on one side only, or missing a digest.
 pub fn explain_baselines(
-    baseline: &[DigestRow],
-    candidate: &[DigestRow],
+    baseline: &[RuntimeRow],
+    candidate: &[RuntimeRow],
     only: &[String],
 ) -> (Vec<ScenarioExplain>, Vec<String>) {
-    let cand: BTreeMap<&str, &DigestRow> =
+    let cand: BTreeMap<&str, &RuntimeRow> =
         candidate.iter().map(|r| (r.scenario.as_str(), r)).collect();
     let mut explained = Vec::new();
     let mut notes = Vec::new();
@@ -671,17 +687,6 @@ pub fn explain_baselines(
         }
     }
     (explained, notes)
-}
-
-/// The fields `compare` needs from a baseline row — deserializes from both
-/// `BENCH_profile.json` and `BENCH_hotness.json` entries (unknown fields are
-/// ignored).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RuntimeRow {
-    /// Full scenario label; the join key between two baselines.
-    pub scenario: String,
-    /// End-to-end virtual runtime, seconds.
-    pub virtual_runtime_s: f64,
 }
 
 /// One scenario's baseline-vs-candidate runtime comparison.
@@ -745,12 +750,44 @@ pub fn compare_runtimes(
 
 #[cfg(test)]
 mod tests {
-    use super::{compare_runtimes, RuntimeRow};
+    use super::sweeps::{self, Sweep};
+    use super::{compare_runtimes, BenchSimspeedEntry, RuntimeRow};
+    use memtier_core::{run_scenario, run_scenario_profiled, Scenario};
+    use memtier_des::SimTime;
+    use memtier_memsim::{PlacementSpec, TierId};
+    use memtier_workloads::DataSize;
+    use serde::Serialize;
+
+    /// `app` at the tiny size on the near-NVM tier, default deployment.
+    fn tiny(app: &str) -> Scenario {
+        Scenario::default_conf(app, DataSize::Tiny, TierId::NVM_NEAR)
+    }
+
+    /// `rows` pass the sweep's artifact check unchanged (so they round-trip
+    /// through JSON); returns them loaded the way `compare` loads them.
+    fn accepted<E>(sweep: &Sweep<E>, rows: &[E]) -> Vec<RuntimeRow>
+    where
+        E: Serialize + PartialEq + std::fmt::Debug,
+    {
+        let json = serde_json::to_string(rows).unwrap();
+        assert_eq!(sweep.check_artifact(&json).expect("real rows pass"), rows);
+        serde_json::from_str(&json).unwrap()
+    }
+
+    /// The sweep's artifact check turns `rows` down, and says `why`.
+    fn rejected<E: Serialize>(sweep: &Sweep<E>, rows: &[E], why: &str) {
+        let err = sweep
+            .check_artifact(&serde_json::to_string(rows).unwrap())
+            .err()
+            .expect("a broken artifact is rejected");
+        assert!(err.contains(why), "rejected with {err:?}, wanted {why:?}");
+    }
 
     fn row(scenario: &str, s: f64) -> RuntimeRow {
         RuntimeRow {
             scenario: scenario.to_string(),
             virtual_runtime_s: s,
+            digest: None,
         }
     }
 
@@ -761,41 +798,35 @@ mod tests {
 
     #[test]
     fn bench_args_parse_defaults_flags_and_errors() {
-        use memtier_workloads::DataSize;
         let argv = |s: &[&str]| -> Vec<String> { s.iter().map(|a| a.to_string()).collect() };
-        let a = super::BenchArgs::try_parse(&argv(&["bin"])).unwrap();
+        let parse = |s: &[&str]| super::BenchArgs::try_parse(&argv(s), &[]);
+        let a = parse(&["bin"]).unwrap();
         assert_eq!(a.size, DataSize::Tiny);
         assert_eq!(a.dir, "results");
         assert!(!a.check && a.app.is_none());
         assert!(a.jobs.is_none());
-        assert_eq!(a.jobs_or(7), 7);
-        let a = super::BenchArgs::try_parse(&argv(&[
+        let a = parse(&[
             "bin", "--size", "small", "--dir", "out", "--check", "--app", "sort", "--jobs", "4",
-        ]))
+        ])
         .unwrap();
         assert_eq!(a.size, DataSize::Small);
         assert_eq!(a.dir, "out");
         assert!(a.check);
         assert_eq!(a.app.as_deref(), Some("sort"));
         assert_eq!(a.jobs, Some(4));
-        assert_eq!(a.jobs_or(7), 4);
-        assert!(super::BenchArgs::try_parse(&argv(&["bin", "--size", "huge"])).is_err());
-        assert!(super::BenchArgs::try_parse(&argv(&["bin", "--jobs", "0"])).is_err());
-        assert!(super::BenchArgs::try_parse(&argv(&["bin", "--jobs", "many"])).is_err());
+        assert!(parse(&["bin", "--size", "huge"]).is_err());
+        assert!(parse(&["bin", "--jobs", "0"]).is_err());
+        assert!(parse(&["bin", "--jobs", "many"]).is_err());
+        // A misspelt flag or a flag missing its value is a usage error, not
+        // a default sweep.
+        assert!(parse(&["bin", "--sizee", "small"]).is_err());
+        assert!(parse(&["bin", "--check", "--jobs"]).is_err());
+        // A binary's own value flags pass when it names them.
+        assert!(parse(&["bin", "--tier", "1"]).is_err());
+        let own =
+            super::BenchArgs::try_parse(&argv(&["bin", "--tier", "1", "--check"]), &["--tier"]);
+        assert!(own.unwrap().check);
         assert_eq!(super::arg_value(&argv(&["bin", "--dir"]), "--dir"), None);
-    }
-
-    /// The `parallel_sweep` determinism contract: results land in input
-    /// order for any worker count, including widths past the item count.
-    #[test]
-    fn parallel_sweep_merges_in_input_order() {
-        let items: Vec<u64> = (0..23).collect();
-        let f = |&x: &u64| x * x + 1;
-        let seq = super::parallel_sweep(&items, 1, f);
-        for jobs in [2, 4, 64] {
-            assert_eq!(super::parallel_sweep(&items, jobs, f), seq, "jobs={jobs}");
-        }
-        assert!(super::parallel_sweep(&Vec::<u64>::new(), 4, f).is_empty());
     }
 
     #[test]
@@ -822,7 +853,6 @@ mod tests {
 
     #[test]
     fn simspeed_rows_feed_compare_and_wall_fields_are_invisible_to_it() {
-        use super::BenchSimspeedEntry;
         // Two generations of the same scenarios: identical deterministic
         // fields, wildly different wall-clock sidecars.
         let gen = |wall: f64| -> Vec<BenchSimspeedEntry> {
@@ -873,10 +903,7 @@ mod tests {
 
     #[test]
     fn simspeed_entries_require_and_summarize_profiled_runs() {
-        use memtier_core::{run_scenario_profiled, Scenario};
-        use memtier_memsim::TierId;
-        use memtier_workloads::DataSize;
-        let s = Scenario::default_conf("repartition", DataSize::Tiny, TierId::NVM_NEAR);
+        let s = tiny("repartition");
         let r = run_scenario_profiled(&s).unwrap();
         let entries = super::bench_simspeed_entries(std::slice::from_ref(&r));
         let e = &entries[0];
@@ -887,9 +914,14 @@ mod tests {
         assert!(e.events_total > 0);
         assert!(e.wall_ms > 0.0 && e.events_per_sec > 0.0 && e.tasks_per_sec > 0.0);
         assert!(e.virtual_to_wall.is_finite());
-        let json = serde_json::to_string(&entries).unwrap();
-        let back: Vec<super::BenchSimspeedEntry> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, entries);
+        // The artifact check wants the stressor row and a live sidecar.
+        rejected(&sweeps::simspeed(), &entries, "dag-stress");
+        let mut stress = e.clone();
+        stress.app = "dag-stress".to_string();
+        accepted(&sweeps::simspeed(), &[e.clone(), stress.clone()]);
+        let mut stalled = e.clone();
+        stalled.wall_ms = 0.0;
+        rejected(&sweeps::simspeed(), &[stalled, stress], "empty sidecar");
     }
 
     #[test]
@@ -900,10 +932,7 @@ mod tests {
 
     #[test]
     fn profile_entries_conserve_and_round_trip() {
-        use memtier_core::{run_scenario, Scenario};
-        use memtier_memsim::TierId;
-        use memtier_workloads::DataSize;
-        let s = Scenario::default_conf("repartition", DataSize::Tiny, TierId::NVM_NEAR);
+        let s = tiny("repartition");
         let r = run_scenario(&s).unwrap();
         let entries = super::bench_profile_entries(std::slice::from_ref(&r));
         assert_eq!(entries.len(), 1);
@@ -914,17 +943,15 @@ mod tests {
             "gap {}",
             entries[0].conservation_gap_s()
         );
-        let json = serde_json::to_string(&entries).unwrap();
-        let back: Vec<super::BenchProfileEntry> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, entries);
+        accepted(&sweeps::profile(), &entries);
+        let mut stretched = entries;
+        stretched[0].virtual_runtime_s *= 2.0;
+        rejected(&sweeps::profile(), &stretched, "does not conserve");
     }
 
     #[test]
     fn hotness_entries_summarize_the_report() {
-        use memtier_core::{run_scenario, Scenario};
-        use memtier_memsim::TierId;
-        use memtier_workloads::DataSize;
-        let s = Scenario::default_conf("sort", DataSize::Tiny, TierId::NVM_NEAR);
+        let s = tiny("sort");
         let r = run_scenario(&s).unwrap();
         assert!(r.hotness.conserves(&r.counters));
         let entries = super::bench_hotness_entries(std::slice::from_ref(&r));
@@ -939,17 +966,16 @@ mod tests {
         // Everything ran on an NVM tier, so promoting the traffic to local
         // DRAM saves stall on every object that moved bytes.
         assert!(e.objects[0].promotion_gain_s > 0.0);
-        let json = serde_json::to_string(&entries).unwrap();
-        let back: Vec<super::BenchHotnessEntry> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, entries);
+        accepted(&sweeps::hotness(), &entries);
+        let mut shuffled = entries.clone();
+        assert!(shuffled[0].objects.len() > 1);
+        shuffled[0].objects.reverse();
+        rejected(&sweeps::hotness(), &shuffled, "not ranked by bytes");
     }
 
     #[test]
     fn doctor_entries_carry_the_verdict_and_feed_compare() {
-        use memtier_core::{run_scenario, Scenario};
-        use memtier_memsim::TierId;
-        use memtier_workloads::DataSize;
-        let s = Scenario::default_conf("sort", DataSize::Tiny, TierId::NVM_NEAR);
+        let s = tiny("sort");
         let r = run_scenario(&s).unwrap();
         let entries = super::bench_doctor_entries(std::slice::from_ref(&r));
         assert_eq!(entries.len(), 1);
@@ -961,22 +987,28 @@ mod tests {
         for pair in e.findings.windows(2) {
             assert!(pair[0].score >= pair[1].score);
         }
-        let json = serde_json::to_string(&entries).unwrap();
-        let back: Vec<super::BenchDoctorEntry> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, entries);
         // A doctor baseline feeds `compare` like the others.
-        let rows: Vec<RuntimeRow> = serde_json::from_str(&json).unwrap();
+        let doctor = sweeps::doctor();
+        let rows = accepted(&doctor, &entries);
         assert_eq!(rows.len(), 1);
         assert!((rows[0].virtual_runtime_s - r.elapsed_s).abs() < 1e-15);
+        // The artifact check turns down a broken verdict, an empty file,
+        // a non-array, and another sweep's rows.
+        let mut broken = entries;
+        broken[0].conserved = false;
+        rejected(&doctor, &broken, "conservation contract");
+        rejected(&doctor, &broken[..0], "empty");
+        let err = doctor.check_artifact("{\"not\": \"rows\"}").unwrap_err();
+        assert!(err.contains("not a valid BENCH_doctor baseline"), "{err}");
+        let foreign = super::bench_hotness_entries(std::slice::from_ref(&r));
+        assert!(doctor
+            .check_artifact(&serde_json::to_string(&foreign).unwrap())
+            .is_err());
     }
 
     #[test]
     fn policy_entries_label_static_and_dynamic_runs() {
-        use memtier_core::{run_scenario, Scenario};
-        use memtier_des::SimTime;
-        use memtier_memsim::{PlacementSpec, TierId};
-        use memtier_workloads::DataSize;
-        let s = Scenario::default_conf("pagerank", DataSize::Tiny, TierId::NVM_NEAR);
+        let s = tiny("pagerank");
         let d = s
             .clone()
             .with_placement(PlacementSpec::hot_cold(256 << 20, SimTime::from_ms(1)));
@@ -988,19 +1020,18 @@ mod tests {
         assert!(entries[1].scenario.contains(&entries[1].policy));
         assert!(entries[1].migrations.epochs > 0);
         // A policy baseline feeds `compare` like the others.
-        let json = serde_json::to_string(&entries).unwrap();
-        let rows: Vec<RuntimeRow> = serde_json::from_str(&json).unwrap();
+        let rows = accepted(&sweeps::policy(), &entries);
         assert_eq!(rows.len(), 2);
         assert_ne!(rows[0].scenario, rows[1].scenario);
+        let mut moved = entries;
+        moved[0].migrations = moved[1].migrations;
+        rejected(&sweeps::policy(), &moved, "reports migrations");
     }
 
     #[test]
     fn faults_entries_label_plans_and_roll_up_recovery() {
-        use memtier_core::{run_scenario, Scenario};
-        use memtier_memsim::TierId;
-        use memtier_workloads::DataSize;
         use sparklite::FaultPlan;
-        let s = Scenario::default_conf("pagerank", DataSize::Tiny, TierId::NVM_NEAR);
+        let s = tiny("pagerank");
         let f = s
             .clone()
             .with_faults(FaultPlan::seeded(11).with_task_failures(0.15));
@@ -1012,27 +1043,28 @@ mod tests {
         assert!(entries[1].scenario.contains(&entries[1].plan));
         assert!(entries[1].recovery.task_failures > 0);
         // A faults baseline feeds `compare` like the others.
-        let json = serde_json::to_string(&entries).unwrap();
-        let rows: Vec<RuntimeRow> = serde_json::from_str(&json).unwrap();
+        let rows = accepted(&sweeps::faults(), &entries);
         assert_eq!(rows.len(), 2);
         assert_ne!(rows[0].scenario, rows[1].scenario);
-        let back: Vec<super::BenchFaultsEntry> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, entries);
     }
 
     #[test]
     fn net_entries_label_wirings_and_roll_up_traffic() {
-        use memtier_core::{run_scenario, Scenario};
-        use memtier_memsim::TierId;
-        use memtier_workloads::DataSize;
         use sparklite::{LocalityMode, NetTopology, NetworkMode};
-        let s = Scenario::default_conf("repartition", DataSize::Tiny, TierId::NVM_NEAR)
-            .with_grid(4, 10);
-        let wired = s.clone().with_network(NetworkMode::Topology {
-            topology: NetTopology::new(4, 2).with_oversubscription(4.0),
-            locality: LocalityMode::Blind,
-        });
-        let results = vec![run_scenario(&s).unwrap(), run_scenario(&wired).unwrap()];
+        let s = tiny("repartition").with_grid(4, 10);
+        let wired = |locality| {
+            s.clone().with_network(NetworkMode::Topology {
+                topology: NetTopology::new(4, 2).with_oversubscription(4.0),
+                locality,
+            })
+        };
+        let delay = LocalityMode::DelayScheduling {
+            wait: SimTime::from_us(500),
+        };
+        let results: Vec<_> = [s.clone(), wired(LocalityMode::Blind), wired(delay)]
+            .iter()
+            .map(|s| run_scenario(s).unwrap())
+            .collect();
         let entries = super::bench_net_entries(&results);
         assert_eq!(entries[0].wiring, "loopback");
         assert!(entries[0].network.is_empty());
@@ -1045,42 +1077,41 @@ mod tests {
             entries[1].network.rack_local_bytes + entries[1].network.cross_rack_bytes
         );
         // A network baseline feeds `compare` like the others.
-        let json = serde_json::to_string(&entries).unwrap();
-        let rows: Vec<RuntimeRow> = serde_json::from_str(&json).unwrap();
-        assert_eq!(rows.len(), 2);
+        let rows = accepted(&sweeps::netsweep(), &entries);
+        assert_eq!(rows.len(), 3);
         assert_ne!(rows[0].scenario, rows[1].scenario);
-        let back: Vec<super::BenchNetEntry> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, entries);
+        let mut leaky = entries.clone();
+        leaky[0].network = entries[1].network.clone();
+        rejected(&sweeps::netsweep(), &leaky, "reports traffic");
+        // With no blind row to beat, delay scheduling has no win to show.
+        let no_blind = [entries[0].clone(), entries[2].clone()];
+        rejected(&sweeps::netsweep(), &no_blind, "strictly reduce");
     }
 
     #[test]
     fn runtime_rows_load_from_profile_entries() {
         // `compare` must accept both baseline formats; a profile entry's
-        // extra fields deserialize away silently. A pre-explainer row (no
-        // `digest` key) must also load as a DigestRow with `digest: None`.
+        // extra fields deserialize away silently, and a pre-explainer row
+        // (no `digest` key) loads with `digest: None`.
         let json = r#"[{"app":"sort","scenario":"sort-tiny@Tier 2, 1x40",
                         "virtual_runtime_s":1.5,"attribution":{"compute":1.5}}]"#;
         let rows: Vec<RuntimeRow> = serde_json::from_str(json).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].virtual_runtime_s, 1.5);
-        let drows: Vec<super::DigestRow> = serde_json::from_str(json).unwrap();
-        assert_eq!(drows[0].digest, None);
+        assert_eq!(rows[0].digest, None);
     }
 
     #[test]
     fn profile_entries_carry_conserving_digests_and_explain_joins() {
-        use memtier_core::{run_scenario, Scenario};
-        use memtier_memsim::TierId;
-        use memtier_workloads::DataSize;
-        let s = Scenario::default_conf("repartition", DataSize::Tiny, TierId::NVM_NEAR);
+        let s = tiny("repartition");
         let r = run_scenario(&s).unwrap();
         let entries = super::bench_profile_entries(std::slice::from_ref(&r));
         let d = entries[0].digest.as_ref().unwrap();
         assert!(d.conserves(), "baseline digest must conserve");
-        // DigestRow loads from the serialized baseline with the digest
+        // A runtime row loads from the serialized baseline with the digest
         // intact, and a self-join explains to an all-zero conserved report.
         let json = serde_json::to_string(&entries).unwrap();
-        let rows: Vec<super::DigestRow> = serde_json::from_str(&json).unwrap();
+        let rows: Vec<RuntimeRow> = serde_json::from_str(&json).unwrap();
         assert_eq!(rows[0].digest.as_ref(), Some(d));
         let (explained, notes) = super::explain_baselines(&rows, &rows, &[]);
         assert_eq!(explained.len(), 1);

@@ -1,52 +1,20 @@
 //! Acceptance test for the parallel-sweep determinism contract
 //! (DESIGN.md §16): a `--jobs 4` sweep produces **byte-identical**
 //! deterministic artifact rows to a sequential (`--jobs 1`) sweep, for both
-//! the policy and faults harnesses. Runs a reduced single-app slice of each
-//! bin's scenario grid through the same `parallel_sweep` entry point the
-//! bins use, then compares the serialized artifact entries string-for-string.
+//! the policy and faults harnesses. Runs the bins' own single-app grids
+//! (what `--app pagerank` sweeps) through the same `parallel_sweep` entry
+//! point the pipeline uses, holds the results to the sweeps' own acceptance
+//! asserts and row predicates, then compares the serialized artifact entries
+//! string-for-string.
 
-use memtier_bench::{bench_faults_entries, bench_policy_entries, parallel_sweep};
-use memtier_core::{run_scenario, Scenario, ScenarioResult};
-use memtier_des::SimTime;
-use memtier_memsim::{PlacementSpec, TierId};
+use memtier_bench::{bench_faults_entries, bench_policy_entries, sweeps};
+use memtier_core::{parallel_sweep, run_scenario, Scenario, ScenarioResult};
 use memtier_workloads::DataSize;
-use sparklite::{FaultPlan, SpeculationConf};
 
-const APP: &str = "pagerank";
 const SIZE: DataSize = DataSize::Tiny;
 
-/// A single-app slice of the policy bin's grid: both static endpoints plus
-/// two HotCold points and the WearAware point.
-fn policy_scenarios() -> Vec<Scenario> {
-    let epoch = SimTime::from_us(1_000);
-    vec![
-        Scenario::default_conf(APP, SIZE, TierId::LOCAL_DRAM),
-        Scenario::default_conf(APP, SIZE, TierId::NVM_NEAR),
-        Scenario::default_conf(APP, SIZE, TierId::NVM_NEAR)
-            .with_placement(PlacementSpec::hot_cold(1 << 20, epoch)),
-        Scenario::default_conf(APP, SIZE, TierId::NVM_NEAR)
-            .with_placement(PlacementSpec::hot_cold(256 << 20, epoch)),
-        Scenario::default_conf(APP, SIZE, TierId::NVM_NEAR)
-            .with_placement(PlacementSpec::wear_aware(256 << 20, epoch)),
-    ]
-}
-
-/// A single-app slice of the faults bin's grid: the plan-free endpoint, two
-/// failure rates, the zero-fault plan, and the straggler+speculation point.
-fn faults_scenarios() -> Vec<Scenario> {
-    vec![
-        Scenario::default_conf(APP, SIZE, TierId::NVM_NEAR),
-        Scenario::default_conf(APP, SIZE, TierId::NVM_NEAR)
-            .with_faults(FaultPlan::seeded(2024).with_task_failures(0.05)),
-        Scenario::default_conf(APP, SIZE, TierId::NVM_NEAR)
-            .with_faults(FaultPlan::seeded(2024).with_task_failures(0.15)),
-        Scenario::default_conf(APP, SIZE, TierId::NVM_NEAR).with_faults(FaultPlan::seeded(2024)),
-        Scenario::default_conf(APP, SIZE, TierId::NVM_NEAR).with_faults(
-            FaultPlan::seeded(2024)
-                .with_stragglers(0.35, 8.0)
-                .with_speculation(SpeculationConf::default()),
-        ),
-    ]
+fn apps() -> Vec<String> {
+    vec!["pagerank".to_string()]
 }
 
 fn sweep(scenarios: &[Scenario], jobs: usize) -> Vec<ScenarioResult> {
@@ -57,11 +25,14 @@ fn sweep(scenarios: &[Scenario], jobs: usize) -> Vec<ScenarioResult> {
 
 #[test]
 fn policy_sweep_is_byte_identical_at_any_width() {
-    let scenarios = policy_scenarios();
+    let policy = sweeps::policy();
+    let scenarios = policy.grid(&apps(), SIZE);
     let seq = sweep(&scenarios, 1);
     let par = sweep(&scenarios, 4);
+    policy.accept(&apps(), &par);
     let a = serde_json::to_string(&bench_policy_entries(&seq)).expect("serialize sequential");
     let b = serde_json::to_string(&bench_policy_entries(&par)).expect("serialize parallel");
+    policy.check_artifact(&b).expect("row predicate");
     assert_eq!(
         a, b,
         "--jobs 4 must reproduce the sequential policy artifact byte-for-byte"
@@ -70,11 +41,23 @@ fn policy_sweep_is_byte_identical_at_any_width() {
 
 #[test]
 fn faults_sweep_is_byte_identical_at_any_width() {
-    let scenarios = faults_scenarios();
+    let faults = sweeps::faults();
+    let scenarios = faults.grid(&apps(), SIZE);
     let seq = sweep(&scenarios, 1);
     let par = sweep(&scenarios, 4);
+    faults.accept(&apps(), &par);
     let a = serde_json::to_string(&bench_faults_entries(&seq)).expect("serialize sequential");
     let b = serde_json::to_string(&bench_faults_entries(&par)).expect("serialize parallel");
+    let mut rows = faults.check_artifact(&b).expect("row predicate");
+    // ...which turns down a plan-free row that reports recovery activity.
+    assert_eq!(rows[0].plan, "none");
+    rows[0].recovery = rows[2].recovery;
+    assert!(rows[0].recovery.task_failures > 0);
+    let noisy = serde_json::to_string(&rows).expect("serialize noisy");
+    let err = faults
+        .check_artifact(&noisy)
+        .expect_err("noisy plan-free row");
+    assert!(err.contains("reports recovery activity"), "{err}");
     assert_eq!(
         a, b,
         "--jobs 4 must reproduce the sequential faults artifact byte-for-byte"
@@ -84,7 +67,7 @@ fn faults_sweep_is_byte_identical_at_any_width() {
 #[test]
 fn oversubscribed_jobs_clamp_and_merge_in_input_order() {
     // More workers than scenarios: the sweep clamps and stays input-ordered.
-    let scenarios = policy_scenarios();
+    let scenarios = sweeps::policy().grid(&apps(), SIZE);
     let seq = sweep(&scenarios, 1);
     let wide = sweep(&scenarios, 64);
     for (s, w) in seq.iter().zip(wide.iter()) {

@@ -38,7 +38,7 @@ pub use predict::{
     profile_correlations, CombinedModelReport, EventCorrelation, SpecCorrelation,
 };
 pub use runner::{
-    conf_for, run_scenario, run_scenario_instrumented, run_scenario_profiled,
+    conf_for, parallel_sweep, run_scenario, run_scenario_instrumented, run_scenario_profiled,
     run_scenario_with_conf, run_scenarios, ScenarioTelemetry, TelemetryOptions,
 };
 pub use scenario::{Scenario, ScenarioResult};

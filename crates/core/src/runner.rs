@@ -165,33 +165,60 @@ fn run_on_context(
     Ok((result, telemetry))
 }
 
+/// Run `f` over `items` on up to `jobs` worker threads, returning results
+/// in **input order** regardless of completion order — the one worker pool
+/// behind [`run_scenarios`] and the bench harnesses' `--jobs` flag.
+///
+/// This is the determinism contract of every sweep (DESIGN.md §16): each
+/// item is an independent, internally deterministic computation (a
+/// scenario simulation), workers pull items off a shared atomic cursor,
+/// and every result lands in the slot of its input index — so the output
+/// vector is byte-identical for any worker count. `jobs <= 1` runs inline
+/// on the caller thread, which *is* the sequential loop.
+///
+/// A panicking item panics the sweep (std `thread::scope` propagates it),
+/// matching the sequential behavior of `f` panicking mid-loop.
+pub fn parallel_sweep<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let jobs = jobs.clamp(1, items.len().max(1));
+    if jobs == 1 {
+        return items.iter().map(&f).collect();
+    }
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
+    slots.resize_with(items.len(), || None);
+    {
+        let locked: Vec<std::sync::Mutex<&mut Option<R>>> =
+            slots.iter_mut().map(std::sync::Mutex::new).collect();
+        std::thread::scope(|scope| {
+            for _ in 0..jobs {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if i >= items.len() {
+                        break;
+                    }
+                    let r = f(&items[i]);
+                    **locked[i].lock().expect("sweep slot poisoned") = Some(r);
+                });
+            }
+        });
+    }
+    slots
+        .into_iter()
+        .map(|r| r.expect("sweep worker left a hole"))
+        .collect()
+}
+
 /// Run many scenarios, `threads`-wide in parallel. Results come back in the
 /// input order; each scenario is an isolated deterministic simulation, so
 /// parallelism does not affect any measurement.
 pub fn run_scenarios(scenarios: &[Scenario], threads: usize) -> Result<Vec<ScenarioResult>> {
-    let threads = threads.max(1);
-    let mut results: Vec<Option<Result<ScenarioResult>>> =
-        (0..scenarios.len()).map(|_| None).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<&mut Option<Result<ScenarioResult>>>> =
-        results.iter_mut().map(parking_lot::Mutex::new).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(scenarios.len().max(1)) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= scenarios.len() {
-                    break;
-                }
-                let r = run_scenario(&scenarios[i]);
-                **slots[i].lock() = Some(r);
-            });
-        }
-    });
-
-    results
+    parallel_sweep(scenarios, threads, run_scenario)
         .into_iter()
-        .map(|r| r.expect("worker left a hole"))
         .collect()
 }
 
@@ -248,12 +275,45 @@ mod tests {
         let plain = run_scenario(&s).unwrap();
         let (instr, _) = run_scenario_instrumented(&s, &TelemetryOptions::default()).unwrap();
         assert_eq!(plain, instr);
+        // Many seeds of an iterative app: a sample instant that lands
+        // between two events must not split the flows' drain into two
+        // float steps (seed 9 on Tier 0 drifted when sampling advanced the
+        // resources).
+        let mut scenarios = Vec::new();
+        for tier in [TierId::LOCAL_DRAM, TierId::NVM_NEAR] {
+            for seed in 1..=30 {
+                scenarios
+                    .push(Scenario::default_conf("pagerank", DataSize::Tiny, tier).with_seed(seed));
+            }
+        }
+        let drifted: Vec<String> = parallel_sweep(&scenarios, 8, |s| {
+            let plain = run_scenario(s).unwrap();
+            let (instr, _) = run_scenario_instrumented(s, &TelemetryOptions::default()).unwrap();
+            (plain != instr).then(|| format!("{} seed {}", s.label(), s.seed))
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        assert!(drifted.is_empty(), "instrumented != plain for {drifted:?}");
     }
 
     #[test]
     fn unknown_workload_errors() {
         let s = Scenario::default_conf("nope", DataSize::Tiny, TierId::LOCAL_DRAM);
         assert!(run_scenario(&s).is_err());
+    }
+
+    /// The `parallel_sweep` determinism contract: results land in input
+    /// order for any worker count, including widths past the item count.
+    #[test]
+    fn parallel_sweep_merges_in_input_order() {
+        let items: Vec<u64> = (0..23).collect();
+        let f = |&x: &u64| x * x + 1;
+        let seq = parallel_sweep(&items, 1, f);
+        for jobs in [2, 4, 64] {
+            assert_eq!(parallel_sweep(&items, jobs, f), seq, "jobs={jobs}");
+        }
+        assert!(parallel_sweep(&Vec::<u64>::new(), 4, f).is_empty());
     }
 
     #[test]

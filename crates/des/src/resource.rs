@@ -178,6 +178,25 @@ impl SharedResource {
         self.served
     }
 
+    /// What [`total_served`](Self::total_served) would read after
+    /// `advance(at)`, without advancing: the same per-flow `min(rate·dt,
+    /// remaining)` clamp, summed in the same order, on a copy of `served`.
+    /// Lets telemetry sample between events without splitting the next
+    /// `advance`'s drain into two `f64` steps. An `at` at or before the
+    /// resource's clock reads the current total.
+    pub fn served_at(&self, at: SimTime) -> f64 {
+        let dt = at.saturating_sub(self.last_update).as_secs_f64();
+        let mut served = self.served;
+        if dt > 0.0 && !self.flows.is_empty() {
+            self.ensure_rates();
+            let cache = self.cache.borrow();
+            for (&(_, rate), (_, flow)) in cache.rates.iter().zip(&self.flows) {
+                served += (rate * dt).min(flow.remaining);
+            }
+        }
+        served
+    }
+
     /// Total time during which at least one flow was active.
     pub fn busy_time(&self) -> SimTime {
         self.busy
@@ -330,17 +349,6 @@ impl SharedResource {
         }
         self.ensure_rates();
         self.cache.borrow().rates.clone()
-    }
-
-    /// Sum of the current allocation across all flows, straight off the rate
-    /// cache — no clone, no water-fill between mutations. Summation order is
-    /// ascending flow id, exactly as summing [`current_rates`](Self::current_rates).
-    pub fn aggregate_rate(&self) -> f64 {
-        if self.flows.is_empty() {
-            return 0.0;
-        }
-        self.ensure_rates();
-        self.cache.borrow().rates.iter().map(|&(_, x)| x).sum()
     }
 
     /// Recompute the memoized allocation if a mutation invalidated it.
@@ -573,6 +581,24 @@ mod tests {
     }
 
     #[test]
+    fn served_at_reads_what_advance_would_serve_without_advancing() {
+        let mut r = res(10.0);
+        r.add_flow(SimTime::ZERO, 1, 3.0, 10.0);
+        r.add_flow(SimTime::ZERO, 2, 40.0, 10.0);
+        r.advance(SimTime::from_ms(100));
+        for ms in [100, 350, 700, 5_000] {
+            let at = SimTime::from_ms(ms);
+            let mut advanced = r.clone();
+            advanced.advance(at);
+            assert_eq!(r.served_at(at), advanced.total_served(), "at {ms} ms");
+        }
+        // Reading moved nothing: clock, residuals and the total are as left.
+        assert_eq!(r.now(), SimTime::from_ms(100));
+        assert_eq!(r.served_at(SimTime::ZERO), r.total_served());
+        assert_eq!(r.remaining(2), Some(39.5));
+    }
+
+    #[test]
     #[should_panic(expected = "duplicate flow id")]
     fn duplicate_flow_panics() {
         let mut r = res(10.0);
@@ -608,7 +634,7 @@ mod tests {
 
     /// The satellite contract for the rate cache: one flow-set/throttle
     /// mutation costs at most one re-share, no matter how many reads
-    /// (`next_completion`, `current_rates`, `aggregate_rate`, `advance`)
+    /// (`next_completion`, `current_rates`, `served_at`, `advance`)
     /// land in between. Observed through the simprof reshare counter.
     #[test]
     fn rate_cache_reshares_at_most_once_per_mutation() {
@@ -622,7 +648,7 @@ mod tests {
         for _ in 0..16 {
             let _ = r.next_completion();
             let _ = r.current_rates();
-            let _ = r.aggregate_rate();
+            let _ = r.served_at(SimTime::from_ms(500));
         }
         r.advance(SimTime::from_secs(1));
         let stats = prof.snapshot(1.0).expect("profiler enabled");
@@ -712,16 +738,5 @@ mod tests {
         r.set_throttle(1.0); // no numeric change, but invalidates
         let cold = r.current_rates(); // full water-fill again
         assert_eq!(cached, cold, "cache must be bit-identical to recompute");
-    }
-
-    #[test]
-    fn aggregate_rate_matches_current_rates_sum() {
-        let mut r = res(12.5);
-        for id in 0..9 {
-            r.add_flow(SimTime::ZERO, id * 3, 10.0, 2.0 + id as f64);
-        }
-        let sum: f64 = r.current_rates().iter().map(|&(_, x)| x).sum();
-        assert_eq!(sum, r.aggregate_rate());
-        assert_eq!(res(1.0).aggregate_rate(), 0.0);
     }
 }

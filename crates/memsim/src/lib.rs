@@ -76,7 +76,7 @@ pub use placement::{
     MIGRATION_FLOW_BASE,
 };
 pub use policy::{CpuBindPolicy, MemBindPolicy};
-pub use system::{MemorySystem, RunTelemetry, UtilizationSample};
+pub use system::{MemorySystem, RunTelemetry};
 pub use telemetry::CounterSample;
 pub use tier::{TierId, TierKind, TierParams, NUM_TIERS};
 pub use topology::{NodeId, Topology};

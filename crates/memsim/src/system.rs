@@ -50,33 +50,12 @@ pub struct MemorySystem {
     /// folded into the virtual-time window containing its instant, so the
     /// windowed series conserve against `counters` in exact integers.
     windows: WindowRollup,
-    sampler: Option<Sampler>,
     counter_sampler: Option<CounterSampler>,
     /// Engine self-profiler (wall-clock only; disabled by default). The
     /// canonical handle for a run: enabling it here fans clones out to every
     /// tier resource, and the scheduler picks it up via
     /// [`engine_prof`](Self::engine_prof).
     prof: EngineProf,
-}
-
-/// One utilization sample (see
-/// [`enable_utilization_sampling`](MemorySystem::enable_utilization_sampling)).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UtilizationSample {
-    /// Sample instant.
-    pub at: SimTime,
-    /// Per-tier channel utilization: aggregate service rate over effective
-    /// capacity, in `[0, 1]`.
-    pub utilization: [f64; NUM_TIERS],
-    /// Per-tier concurrent flows.
-    pub active: [usize; NUM_TIERS],
-}
-
-#[derive(Debug)]
-struct Sampler {
-    interval: SimTime,
-    next: SimTime,
-    samples: Vec<UtilizationSample>,
 }
 
 /// Everything the instrumentation observed over one run.
@@ -132,7 +111,6 @@ impl MemorySystem {
             mba: MbaController::new(),
             ledger: AttributionLedger::new(),
             windows: WindowRollup::default(),
-            sampler: None,
             counter_sampler: None,
             prof: EngineProf::default(),
         }
@@ -389,50 +367,25 @@ impl MemorySystem {
         earliest_completion(&self.resources).map(|(t, i, f)| (t, TierId::all()[i], f))
     }
 
-    /// Advance all tier resources to `now`, taking utilization samples at
-    /// every crossed sampling instant (rates are piecewise-constant between
-    /// events, so sampling at the boundary is exact).
+    /// Advance all tier resources to `now`, first taking every counter
+    /// sample that fell due on the way. Sampling only reads: served bytes at
+    /// a sample instant come from [`SharedResource::served_at`], and the
+    /// resources advance once per call exactly as in an unsampled run, so an
+    /// instrumented run's results are the plain run's, bit for bit.
     pub fn advance(&mut self, now: SimTime) {
-        if self.sampler.is_some() || self.counter_sampler.is_some() {
+        if self.counter_sampler.is_some() {
             let _t = self.prof.phase(ProfPhase::TelemetrySampling);
-            if let Some(sampler) = &mut self.sampler {
-                while sampler.next <= now {
-                    let at = sampler.next;
-                    let mut utilization = [0.0; NUM_TIERS];
-                    let mut active = [0; NUM_TIERS];
-                    for (i, r) in self.resources.iter().enumerate() {
-                        // Straight off the rate cache: same ascending-id
-                        // summation as current_rates(), without cloning the
-                        // allocation out per tier per sample.
-                        let agg = r.aggregate_rate();
-                        utilization[i] = (agg / r.effective_capacity()).clamp(0.0, 1.0);
-                        active[i] = r.active_flows();
-                    }
-                    sampler.samples.push(UtilizationSample {
-                        at,
-                        utilization,
-                        active,
-                    });
-                    sampler.next += sampler.interval;
-                    self.prof.count_event(EventClass::TelemetrySample);
-                }
-            }
-            while self
+            while let Some(at) = self
                 .counter_sampler
                 .as_ref()
-                .is_some_and(|s| s.next_due() <= now)
+                .map(|s| s.next_due())
+                .filter(|&at| at <= now)
             {
-                let at = self.counter_sampler.as_ref().unwrap().next_due();
-                // Bring served-byte integrals exactly to the sample instant;
-                // rates are piecewise-constant between events, so this is exact.
-                for r in &mut self.resources {
-                    r.advance(at);
-                }
-                let (counters, served, flows, energy) = self.telemetry_readings();
-                let sampler = self.counter_sampler.as_mut().unwrap();
-                sampler.push(at, counters, served, flows, energy);
-                sampler.arm_next();
-                self.prof.count_event(EventClass::TelemetrySample);
+                self.take_counter_sample(at);
+                self.counter_sampler
+                    .as_mut()
+                    .expect("checked above")
+                    .arm_next();
             }
         }
         for r in &mut self.resources {
@@ -440,22 +393,21 @@ impl MemorySystem {
         }
     }
 
-    /// Raw instrument readings for one counter sample. Callers must have
-    /// advanced the resources to the sample instant first.
-    fn telemetry_readings(
-        &self,
-    ) -> (
-        CounterSnapshot,
-        [f64; NUM_TIERS],
-        [usize; NUM_TIERS],
-        [f64; NUM_TIERS],
-    ) {
-        (
+    /// Read every instrument as of `at` (at or after each resource's clock;
+    /// rates are piecewise-constant between events, so the served-byte
+    /// reading is exact) and append the sample. No-op without a sampler.
+    fn take_counter_sample(&mut self, at: SimTime) {
+        let Some(sampler) = &mut self.counter_sampler else {
+            return;
+        };
+        sampler.push(
+            at,
             self.counters.snapshot(),
-            TierId::all().map(|t| self.resources[t.index()].total_served()),
+            TierId::all().map(|t| self.resources[t.index()].served_at(at)),
             TierId::all().map(|t| self.resources[t.index()].active_flows()),
             TierId::all().map(|t| self.energy.dynamic_joules(t)),
-        )
+        );
+        self.prof.count_event(EventClass::TelemetrySample);
     }
 
     /// Start recording the full counter time series (media counters,
@@ -476,31 +428,6 @@ impl MemorySystem {
         self.counter_sampler
             .as_ref()
             .map(|s| s.samples())
-            .unwrap_or(&[])
-    }
-
-    /// Start recording per-tier channel utilization every `interval` of
-    /// virtual time. Cheap (one comparison per `advance` while idle) and
-    /// deterministic.
-    ///
-    /// # Panics
-    /// Panics on a zero interval.
-    pub fn enable_utilization_sampling(&mut self, interval: SimTime) {
-        assert!(!interval.is_zero(), "sampling interval must be positive");
-        if self.sampler.is_none() {
-            self.sampler = Some(Sampler {
-                interval,
-                next: SimTime::ZERO,
-                samples: Vec::new(),
-            });
-        }
-    }
-
-    /// The recorded utilization samples (empty if sampling is disabled).
-    pub fn utilization_samples(&self) -> &[UtilizationSample] {
-        self.sampler
-            .as_ref()
-            .map(|s| s.samples.as_slice())
             .unwrap_or(&[])
     }
 
@@ -541,15 +468,10 @@ impl MemorySystem {
     /// Close out a run at `elapsed`, producing the full telemetry record.
     pub fn finish_run(&mut self, elapsed: SimTime) -> RunTelemetry {
         self.advance(elapsed);
-        if self.counter_sampler.is_some() {
-            // Take (or re-take) a final sample at the end instant, *after*
-            // every in-flight batch has been charged, so the series' last
-            // point equals the cumulative totals (conservation).
-            let (counters, served, flows, energy) = self.telemetry_readings();
-            let sampler = self.counter_sampler.as_mut().unwrap();
-            sampler.push(elapsed, counters, served, flows, energy);
-            self.prof.count_event(EventClass::TelemetrySample);
-        }
+        // Take (or re-take) a final sample at the end instant, *after* every
+        // in-flight batch has been charged, so the series' last point equals
+        // the cumulative totals (conservation).
+        self.take_counter_sample(elapsed);
         RunTelemetry {
             counters: self.counters.snapshot(),
             energy: self.energy.finish(elapsed),

@@ -274,18 +274,6 @@ impl SparkContext {
         st.app.totals.cpu_ns += cpu_ns.max(0.0);
     }
 
-    /// Start sampling per-tier channel utilization every `interval` of
-    /// virtual time (see [`MemorySystem::enable_utilization_sampling`]).
-    pub fn enable_utilization_sampling(&self, interval: SimTime) {
-        let mut st = self.inner.state.lock();
-        st.mem.enable_utilization_sampling(interval)
-    }
-
-    /// The recorded utilization samples so far.
-    pub fn utilization_samples(&self) -> Vec<memtier_memsim::UtilizationSample> {
-        self.inner.state.lock().mem.utilization_samples().to_vec()
-    }
-
     /// Start sampling the full counter time series (media counters,
     /// delivered bandwidth, queue occupancy, dynamic energy) every
     /// `interval` of virtual time (see
@@ -377,12 +365,14 @@ impl SparkContext {
         let st = self.inner.state.lock();
         let profile = build_profile(&st.profile, st.clock);
         st.trace.as_ref().map(|spans| {
-            crate::trace::chrome_trace_json_objects(
+            crate::trace::chrome_trace_json(
                 spans,
-                st.mem.counter_samples(),
-                &events,
-                Some(&profile),
-                st.mem.object_series(),
+                crate::trace::TraceLanes {
+                    samples: st.mem.counter_samples(),
+                    events: &events,
+                    profile: Some(&profile),
+                    objects: st.mem.object_series(),
+                },
             )
         })
     }

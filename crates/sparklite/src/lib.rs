@@ -117,6 +117,4 @@ pub use profile::{
 pub use rdd::{Data, Key, Rdd};
 pub use shuffle::{HashPartitioner, RangePartitioner};
 pub use storage::StorageLevel;
-pub use trace::{
-    chrome_trace_json, chrome_trace_json_full, chrome_trace_json_objects, SpanKind, TaskSpan,
-};
+pub use trace::{chrome_trace_json, SpanKind, TaskSpan, TraceLanes};

@@ -7,8 +7,8 @@
 //! the same at-a-glance view of stage waves, stragglers and executor
 //! utilization that the Spark UI's timeline provides.
 //!
-//! [`chrome_trace_json_full`] additionally interleaves the other telemetry
-//! streams into the same timeline: counter samples become per-tier counter
+//! Its [`TraceLanes`] argument interleaves the other telemetry streams
+//! into the same timeline: counter samples become per-tier counter
 //! tracks (`"ph":"C"` — media traffic, delivered bandwidth, queue
 //! occupancy), and logged lifecycle events become a driver lane of job and
 //! stage spans connected to their instants by flow arrows — so Perfetto
@@ -104,44 +104,38 @@ impl TaskSpan {
     }
 }
 
-/// Render spans as a Chrome-tracing JSON document.
+/// The telemetry streams a trace can carry besides the task spans. Every
+/// lane defaults to absent, so `TraceLanes::default()` renders the spans
+/// alone and a caller names only the lanes it has.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TraceLanes<'a> {
+    /// Counter samples: one set of `"ph":"C"` tracks per tier that saw
+    /// traffic (judged from the last sample's cumulative counters, so an
+    /// all-DRAM run doesn't drag three flat-zero tracks into the view).
+    pub samples: &'a [CounterSample],
+    /// Logged lifecycle events: a driver lane of job/stage spans with flow
+    /// arrows, plus the recovery, network and residency lanes.
+    pub events: &'a [TimedEvent],
+    /// The run profile whose critical path to highlight.
+    pub profile: Option<&'a RunProfile>,
+    /// The attribution ledger's per-object series: one cumulative-traffic
+    /// counter track per hot object, so Perfetto shows *which cached RDD or
+    /// shuffle* drove each burst of media traffic.
+    pub objects: &'a [ObjectSample],
+}
+
+/// Render spans, and whichever `lanes` are present, as one Chrome-tracing
+/// JSON document.
 ///
 /// `pid` = executor, `tid` = slot, timestamps in microseconds of virtual
 /// time. Loadable in `chrome://tracing` or Perfetto as-is.
-pub fn chrome_trace_json(spans: &[TaskSpan]) -> String {
-    chrome_trace_json_full(spans, &[], &[], None)
-}
-
-/// Render the full telemetry picture as one Chrome-tracing JSON document:
-/// task spans plus per-tier counter tracks (from `samples`) plus a driver
-/// lane of job/stage spans with flow arrows (from `events`).
-///
-/// Counter tracks are only emitted for tiers that saw traffic (judged from
-/// the last sample's cumulative counters), so an all-DRAM run doesn't drag
-/// three flat-zero tracks into the view. Pass empty slices (and `None` for
-/// the profile) to degrade gracefully — `chrome_trace_json` is exactly
-/// that.
-pub fn chrome_trace_json_full(
-    spans: &[TaskSpan],
-    samples: &[CounterSample],
-    events: &[TimedEvent],
-    profile: Option<&RunProfile>,
-) -> String {
-    chrome_trace_json_objects(spans, samples, events, profile, &[])
-}
-
-/// [`chrome_trace_json_full`] plus per-object attribution tracks: the
-/// hottest objects' cumulative traffic (from the attribution ledger's
-/// [`ObjectSample`] series) becomes one `"ph":"C"` counter track each, so
-/// Perfetto shows *which cached RDD or shuffle* drove each burst of media
-/// traffic next to the per-tier counter tracks.
-pub fn chrome_trace_json_objects(
-    spans: &[TaskSpan],
-    samples: &[CounterSample],
-    events: &[TimedEvent],
-    profile: Option<&RunProfile>,
-    objects: &[ObjectSample],
-) -> String {
+pub fn chrome_trace_json(spans: &[TaskSpan], lanes: TraceLanes<'_>) -> String {
+    let TraceLanes {
+        samples,
+        events,
+        profile,
+        objects,
+    } = lanes;
     let mut out = Vec::with_capacity(spans.len() + 4 * samples.len() + events.len());
     let critical: Vec<(u64, u64)> = profile.map(|p| p.critical_tasks()).unwrap_or_default();
 
@@ -586,11 +580,18 @@ mod tests {
         }
     }
 
+    fn with_events(events: &[TimedEvent]) -> TraceLanes<'_> {
+        TraceLanes {
+            events,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn duration_and_json_shape() {
         let s = span(3, 10, 25);
         assert_eq!(s.duration(), SimTime::from_ms(15));
-        let json = chrome_trace_json(&[s]);
+        let json = chrome_trace_json(&[s], TraceLanes::default());
         assert!(json.contains("\"ph\": \"X\""));
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("job0 stage1 p3"));
@@ -603,7 +604,8 @@ mod tests {
 
     #[test]
     fn empty_trace_is_valid() {
-        let v: serde_json::Value = serde_json::from_str(&chrome_trace_json(&[])).unwrap();
+        let v: serde_json::Value =
+            serde_json::from_str(&chrome_trace_json(&[], TraceLanes::default())).unwrap();
         assert_eq!(v["traceEvents"].as_array().unwrap().len(), 0);
     }
 
@@ -625,7 +627,13 @@ mod tests {
 
     #[test]
     fn counter_tracks_only_for_active_tiers() {
-        let json = chrome_trace_json_full(&[span(0, 0, 5)], &[sample(1, 100)], &[], None);
+        let json = chrome_trace_json(
+            &[span(0, 0, 5)],
+            TraceLanes {
+                samples: &[sample(1, 100)],
+                ..Default::default()
+            },
+        );
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         let events = v["traceEvents"].as_array().unwrap();
         let counters: Vec<&serde_json::Value> = events.iter().filter(|e| e["ph"] == "C").collect();
@@ -647,7 +655,13 @@ mod tests {
                 total_bytes: (u64::from(rdd) + 1) * 100,
             })
             .collect();
-        let json = chrome_trace_json_objects(&[], &[], &[], None, &samples);
+        let json = chrome_trace_json(
+            &[],
+            TraceLanes {
+                objects: &samples,
+                ..Default::default()
+            },
+        );
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         let out = v["traceEvents"].as_array().unwrap();
         let tracks: Vec<&str> = out
@@ -664,7 +678,7 @@ mod tests {
             .iter()
             .any(|e| e["ph"] == "M" && e["args"]["name"] == "memory telemetry"));
         // The 4-argument form still degrades to no object tracks.
-        let plain = chrome_trace_json_full(&[], &[], &[], None);
+        let plain = chrome_trace_json(&[], TraceLanes::default());
         assert!(!plain.contains("attribution"));
     }
 
@@ -700,7 +714,7 @@ mod tests {
                 },
             },
         ];
-        let json = chrome_trace_json_full(&[], &[], &events, None);
+        let json = chrome_trace_json(&[], with_events(&events));
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         let out = v["traceEvents"].as_array().unwrap();
         let job = out
@@ -732,7 +746,7 @@ mod tests {
             hop(5, TierId::NVM_NEAR, TierId::LOCAL_DRAM),
             hop(9, TierId::LOCAL_DRAM, TierId::NVM_NEAR),
         ];
-        let json = chrome_trace_json_full(&[], &[], &events, None);
+        let json = chrome_trace_json(&[], with_events(&events));
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         let out = v["traceEvents"].as_array().unwrap();
         let markers: Vec<&serde_json::Value> = out
@@ -769,7 +783,7 @@ mod tests {
             flow(9, "node0:up", 500_000),
             flow(9, "rack0:down", 250_000),
         ];
-        let json = chrome_trace_json_full(&[], &[], &events, None);
+        let json = chrome_trace_json(&[], with_events(&events));
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         let out = v["traceEvents"].as_array().unwrap();
         // One "network telemetry" lane label, emitted once.
@@ -849,7 +863,7 @@ mod tests {
                 },
             },
         ];
-        let json = chrome_trace_json_full(&[failed, spec, loser], &[], &events, None);
+        let json = chrome_trace_json(&[failed, spec, loser], with_events(&events));
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         let out = v["traceEvents"].as_array().unwrap();
         let cat = |c: &str| out.iter().filter(|e| e["cat"] == c).count();
@@ -885,7 +899,13 @@ mod tests {
             attribution: Default::default(),
             segments: vec![seg(1, 0, 25), seg(2, 25, 40)],
         };
-        let json = chrome_trace_json_full(&spans, &[], &[], Some(&profile));
+        let json = chrome_trace_json(
+            &spans,
+            TraceLanes {
+                profile: Some(&profile),
+                ..Default::default()
+            },
+        );
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         let out = v["traceEvents"].as_array().unwrap();
         // Tasks 1 and 2 are on the path, task 0 is not.

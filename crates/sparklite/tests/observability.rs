@@ -1,4 +1,4 @@
-//! Observability-surface tests: utilization and counter sampling, the
+//! Observability-surface tests: counter sampling, the
 //! lifecycle event log, stage rollups, trace export, and MBA control
 //! through the context.
 
@@ -16,44 +16,6 @@ fn run_shuffle_job(sc: &SparkContext) {
         .reduce_by_key(|a, b| a + b)
         .count()
         .unwrap();
-}
-
-#[test]
-fn utilization_sampling_tracks_activity() {
-    let sc = nvm_ctx();
-    sc.enable_utilization_sampling(SimTime::from_us(100));
-    sc.parallelize((0u64..30_000).map(|i| (i % 50, i)).collect::<Vec<_>>(), 16)
-        .reduce_by_key(|a, b| a + b)
-        .count()
-        .unwrap();
-    let samples = sc.utilization_samples();
-    assert!(
-        samples.len() > 10,
-        "expected a timeline, got {}",
-        samples.len()
-    );
-    // Samples are equally spaced and monotone.
-    for w in samples.windows(2) {
-        assert_eq!(w[1].at - w[0].at, SimTime::from_us(100));
-    }
-    let idx = TierId::NVM_NEAR.index();
-    // Some activity on the bound tier, none on the others.
-    assert!(samples.iter().any(|s| s.active[idx] > 0));
-    assert!(samples.iter().any(|s| s.utilization[idx] > 0.0));
-    for other in [TierId::LOCAL_DRAM, TierId::REMOTE_DRAM, TierId::NVM_FAR] {
-        assert!(samples.iter().all(|s| s.active[other.index()] == 0));
-    }
-    // Utilization is a fraction.
-    assert!(samples
-        .iter()
-        .all(|s| (0.0..=1.0).contains(&s.utilization[idx])));
-}
-
-#[test]
-fn sampling_disabled_returns_empty() {
-    let sc = nvm_ctx();
-    sc.parallelize(vec![1u32], 1).count().unwrap();
-    assert!(sc.utilization_samples().is_empty());
 }
 
 #[test]
