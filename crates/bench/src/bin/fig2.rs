@@ -5,8 +5,8 @@
 //! (`BENCH_profile.json`, override with `--profile-out <path>`).
 
 use memtier_bench::{
-    arg_value, attribution_table, bench_profile_entries, campaign_threads, maybe_dump_json, pct,
-    write_json_artifact,
+    arg_value, attribution_table, audit_all, bench_profile_entries, campaign_threads, check_fail,
+    maybe_dump_json, pct, write_json_artifact,
 };
 use memtier_core::campaign::{by_workload_size, fig2_campaign};
 use memtier_core::ScenarioResult;
@@ -19,6 +19,7 @@ fn main() {
     let profile_path =
         arg_value(&args, "--profile-out").unwrap_or_else(|| "BENCH_profile.json".to_string());
     let results = fig2_campaign(campaign_threads()).expect("fig2 campaign");
+    audit_all(&results).unwrap_or_else(|msg| check_fail(msg));
     maybe_dump_json(&results);
     write_json_artifact(&profile_path, &bench_profile_entries(&results));
     print_time(&results);
@@ -156,10 +157,9 @@ fn print_attribution(results: &[ScenarioResult]) {
     // critical path spends its time, as shares of the virtual runtime. The
     // shares sum to 1 (conservation) — the mem-write column is exactly the
     // part the paper's DCPM write-asymmetry discussion predicts grows.
-    let rows = groups(results).into_iter().map(|((w, s), v)| {
-        assert!(v[2].profile.conserves(), "attribution must conserve");
-        ([w, s], v[2])
-    });
+    let rows = groups(results)
+        .into_iter()
+        .map(|((w, s), v)| ([w, s], v[2]));
     let table = attribution_table(
         "Fig 2 (attribution) — critical-path time shares, Tier 2 run",
         ["benchmark", "size"],

@@ -8,7 +8,8 @@
 //! ```
 
 use memtier_bench::{
-    arg_value, bench_profile_entries, campaign_threads, write_json_artifact, write_text_artifact,
+    arg_value, audit_all, bench_profile_entries, campaign_threads, check_fail, write_json_artifact,
+    write_text_artifact,
 };
 use memtier_core::campaign::{
     by_workload_size, fig2_campaign, fig3_campaign, fig4_grid, FIG4_APPS, FIG4_CORES,
@@ -60,6 +61,7 @@ fn main() {
     // --- Fig 2 -----------------------------------------------------------
     eprintln!("[2/6] Fig 2 campaign (84 scenarios)…");
     let fig2 = fig2_campaign(threads).expect("fig2");
+    audit_all(&fig2).unwrap_or_else(|msg| check_fail(msg));
     writeln!(md, "\n## Fig. 2 — time / NVM accesses / energy\n").unwrap();
     writeln!(
         md,
@@ -238,10 +240,6 @@ fn main() {
         }
         v.sort_by_key(|r| r.scenario.tier);
         let r = v[2];
-        assert!(
-            r.profile.conserves(),
-            "attribution must conserve for {w}-{s}"
-        );
         let a = &r.profile.attribution;
         let named = a.named_seconds();
         let dominant = named

@@ -68,6 +68,15 @@ pub fn check_fail(msg: String) -> ! {
     std::process::exit(1);
 }
 
+/// Hold every run to its [`audit`](ScenarioResult::audit); the error names
+/// the first run that breaks a conservation identity, and which one.
+pub fn audit_all(results: &[ScenarioResult]) -> Result<(), String> {
+    results.iter().try_for_each(|r| {
+        r.audit()
+            .map_err(|e| format!("{}: {e}", r.scenario.label()))
+    })
+}
+
 /// The workload names of the full suite, in suite order.
 pub(crate) fn suite_apps() -> Vec<String> {
     all_workloads()

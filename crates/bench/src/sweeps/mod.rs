@@ -30,7 +30,7 @@ pub use self::{
     simspeed::sweep as simspeed,
 };
 
-use crate::{campaign_threads, check_fail, suite_apps, write_json_artifact, BenchArgs};
+use crate::{audit_all, campaign_threads, check_fail, suite_apps, write_json_artifact, BenchArgs};
 use memtier_core::{parallel_sweep, run_scenario, Scenario, ScenarioResult};
 use memtier_memsim::TierId;
 use memtier_workloads::DataSize;
@@ -51,9 +51,9 @@ pub struct Sweep<E> {
     grid: fn(&[String], DataSize) -> Vec<Scenario>,
     /// How one scenario is run — and re-run under `--check`.
     run_one: fn(&Scenario) -> sparklite::error::Result<ScenarioResult>,
-    /// The sweep's own in-process acceptance asserts, on top of the
-    /// conservation identities every run is held to (panics on a violation:
-    /// that is a model bug, not an artifact problem).
+    /// The sweep's own in-process acceptance asserts, on top of the audit
+    /// every run is held to (panics on a violation: that is a model bug,
+    /// not an artifact problem).
     accept: fn(&[String], &[ScenarioResult]),
     /// The artifact projection, one row per result, in input order.
     entries: fn(&[ScenarioResult]) -> Vec<E>,
@@ -167,22 +167,15 @@ impl<E: Serialize> Sweep<E> {
         (self.grid)(apps, size)
     }
 
-    /// Run the in-process acceptance asserts over `results` (the results of
-    /// [`grid`](Self::grid) for the same `apps`); panics on a violation.
-    /// First what every run owes, whatever the sweep — the object ledger
-    /// and the doctor's windowed series each re-sum to the machine counters
-    /// — then the sweep's own properties. (The critical-path attribution is
-    /// `profile`'s own assert: it does not tile some of `policy`'s HotCold
-    /// runs, ROADMAP item 4.)
-    pub fn accept(&self, apps: &[String], results: &[ScenarioResult]) {
-        for r in results {
-            assert!(
-                r.hotness.conserves(&r.counters) && r.doctor.conserved,
-                "{} breaks a conservation identity",
-                r.scenario.label()
-            );
-        }
-        (self.accept)(apps, results)
+    /// Accept `results` (the results of [`grid`](Self::grid) for the same
+    /// `apps`): first what every run owes, whatever the sweep — its
+    /// [`audit`](ScenarioResult::audit), the error naming the run and the
+    /// identity it breaks — then the sweep's own properties, which panic on
+    /// a violation.
+    pub fn accept(&self, apps: &[String], results: &[ScenarioResult]) -> Result<(), String> {
+        audit_all(results)?;
+        (self.accept)(apps, results);
+        Ok(())
     }
 
     /// The artifact half of `--check`: `text` must parse as this sweep's
@@ -237,8 +230,8 @@ impl<E: Serialize> Sweep<E> {
 }
 
 /// Run one sweep harness end to end on the process argv (module docs).
-/// Usage and I/O errors exit 2, a failed `--check` exits 1, a violated
-/// acceptance assert panics.
+/// Usage and I/O errors exit 2, a failed audit or `--check` exits 1, a
+/// violated acceptance assert panics.
 pub fn run<E: Serialize>(sweep: &Sweep<E>) {
     let args = BenchArgs::parse(&[]);
     let apps = if sweep.by_app {
@@ -259,7 +252,9 @@ pub fn run<E: Serialize>(sweep: &Sweep<E>) {
     let results = parallel_sweep(&scenarios, jobs, |s| {
         (sweep.run_one)(s).unwrap_or_else(|e| panic!("{} sweep, {}: {e}", sweep.name, s.label()))
     });
-    sweep.accept(&apps, &results);
+    sweep
+        .accept(&apps, &results)
+        .unwrap_or_else(|msg| check_fail(msg));
     let mut rows = (sweep.entries)(&results);
     rows.extend((sweep.extra_rows)(args.size));
     (sweep.check_rows)(&rows).unwrap_or_else(|e| panic!("{} sweep: {e}", sweep.name));

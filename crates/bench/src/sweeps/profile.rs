@@ -1,8 +1,8 @@
 //! The critical-path profiler sweep (`BENCH_profile.json` plus one
-//! `profile_<app>.json` per workload): every run's virtual-time attribution
-//! must conserve; the table shows where the critical path spends its time,
-//! followed by the analytical what-if, which `--check` validates against an
-//! actual perturbed re-run instead of re-running a scenario unchanged.
+//! `profile_<app>.json` per workload): the table shows where the critical
+//! path spends its time, followed by the analytical what-if, which `--check`
+//! validates against an actual perturbed re-run instead of re-running a
+//! scenario unchanged.
 
 use super::{print_whatif, Sweep};
 use crate::{attribution_table, bench_profile_entries, BenchProfileEntry};
@@ -21,12 +21,6 @@ const WHATIF_APP: &str = "repartition";
 /// The sweep the `profile` bin runs.
 pub fn sweep() -> Sweep<BenchProfileEntry> {
     Sweep {
-        accept: |_, results| {
-            for r in results {
-                let label = r.scenario.label();
-                assert!(r.profile.conserves(), "{label} attribution must conserve");
-            }
-        },
         per_app_prefix: Some("profile"),
         rerun: None,
         recheck: whatif_validates,

@@ -29,7 +29,7 @@ fn policy_sweep_is_byte_identical_at_any_width() {
     let scenarios = policy.grid(&apps(), SIZE);
     let seq = sweep(&scenarios, 1);
     let par = sweep(&scenarios, 4);
-    policy.accept(&apps(), &par);
+    policy.accept(&apps(), &par).expect("every run audits");
     let a = serde_json::to_string(&bench_policy_entries(&seq)).expect("serialize sequential");
     let b = serde_json::to_string(&bench_policy_entries(&par)).expect("serialize parallel");
     policy.check_artifact(&b).expect("row predicate");
@@ -45,7 +45,7 @@ fn faults_sweep_is_byte_identical_at_any_width() {
     let scenarios = faults.grid(&apps(), SIZE);
     let seq = sweep(&scenarios, 1);
     let par = sweep(&scenarios, 4);
-    faults.accept(&apps(), &par);
+    faults.accept(&apps(), &par).expect("every run audits");
     let a = serde_json::to_string(&bench_faults_entries(&seq)).expect("serialize sequential");
     let b = serde_json::to_string(&bench_faults_entries(&par)).expect("serialize parallel");
     let mut rows = faults.check_artifact(&b).expect("row predicate");

@@ -1,13 +1,14 @@
 //! Experimental points and their measurements.
 
+use memtier_des::SimTime;
 use memtier_memsim::{
     CounterSnapshot, HotnessReport, MigrationStats, PlacementSpec, TierId, NUM_TIERS,
 };
 use memtier_workloads::DataSize;
 use serde::{Deserialize, Serialize};
 use sparklite::{
-    DoctorReport, EngineStats, FaultPlan, NetReport, NetworkMode, RecoveryStats, RunDigest,
-    RunProfile, StageRollup,
+    AuditError, DoctorReport, EngineStats, FaultPlan, NetReport, NetworkMode, RecoveryStats,
+    RunDigest, RunProfile, RunView, StageRollup,
 };
 
 /// One experimental configuration — a cell of the paper's sweeps.
@@ -238,6 +239,27 @@ impl ScenarioResult {
         self.events.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
+    /// Hold the run to every conservation identity it owes
+    /// (`sparklite::audit`), whatever its placement mode, fault plan or
+    /// wiring; the error names the first that fails. Reads only this
+    /// result's fields, so an artifact read back from JSON audits the same.
+    pub fn audit(&self) -> Result<(), AuditError> {
+        RunView {
+            // Seconds-as-f64 names its picosecond count exactly below 2^51
+            // ps (37 virtual minutes; the suite's runs are under a second).
+            elapsed: SimTime::from_secs_f64(self.elapsed_s),
+            counters: &self.counters,
+            profile: &self.profile,
+            hotness: &self.hotness,
+            migrations: &self.migrations,
+            recovery: &self.recovery,
+            digest: &self.digest,
+            doctor: &self.doctor,
+            network: &self.network,
+        }
+        .audit()
+    }
+
     /// The virtual-identity serialization: this result as canonical JSON
     /// with the wall-clock `engine` sidecar removed. Two runs of the same
     /// scenario must produce *equal strings* here regardless of whether
@@ -279,7 +301,6 @@ mod tests {
 
     #[test]
     fn placement_is_optional_and_labeled() {
-        use memtier_des::SimTime;
         // Scenarios serialized before the placement engine carry no
         // `placement` key; they must load as static.
         let mut json = serde_json::to_value(Scenario::default_conf(
@@ -385,7 +406,6 @@ mod tests {
 
     #[test]
     fn network_is_optional_and_labeled() {
-        use memtier_des::SimTime;
         use sparklite::{LocalityMode, NetTopology};
         // Scenarios serialized before the network plane carry no `network`
         // key; they must load as loopback, and a loopback scenario must not

@@ -34,8 +34,9 @@ use memtier_des::{
 /// The engine drives it as an event loop:
 /// 1. [`begin_access`](Self::begin_access) when a task starts a memory phase;
 /// 2. [`next_completion`](Self::next_completion) to find the earliest finish;
-/// 3. [`finish_access`](Self::finish_access) when the phase drains — this is
-///    also the instant the traffic is charged to counters, energy and wear.
+/// 3. [`finish_access_attributed`](Self::finish_access_attributed) when the
+///    phase drains — this is also the instant the traffic is charged to
+///    counters, windows, energy, wear and the attribution ledger.
 pub struct MemorySystem {
     config: MemSimConfig,
     /// Effective (ablation-applied) tier parameters.
@@ -78,9 +79,8 @@ pub struct RunTelemetry {
     /// batch has been charged.
     pub counter_series: Vec<CounterSample>,
     /// Object-level attribution: which Spark-level entity caused the
-    /// traffic, ranked by bytes. Conserves against `counters` whenever all
-    /// traffic was retired through
-    /// [`finish_access_attributed`](MemorySystem::finish_access_attributed).
+    /// traffic, ranked by bytes. Conserves against `counters` by
+    /// construction: every charge reaches both through one funnel.
     pub hotness: HotnessReport,
     /// Always-on windowed rollup of every counter charge: per-tier traffic
     /// and priced stall per virtual-time window, conserving against
@@ -241,25 +241,10 @@ impl MemorySystem {
         true
     }
 
-    /// Finish a batch: remove its flow and charge counters, energy and wear.
-    pub fn finish_access(&mut self, now: SimTime, tier: TierId, flow: FlowId, batch: &AccessBatch) {
-        if !batch.is_empty() {
-            self.resources[tier.index()].remove_flow(now, flow);
-        }
-        self.counters.record(tier, batch);
-        self.windows
-            .record(now, tier, batch, &self.params[tier.index()]);
-        self.energy
-            .record(tier, &self.params[tier.index()].clone(), batch);
-        self.wear.record(tier, batch);
-    }
-
-    /// Like [`finish_access`](Self::finish_access), but additionally charges
-    /// the batch to the attribution ledger as per-object parts. The machine
-    /// instruments (counters, energy, wear) are charged once from the whole
-    /// batch; the parts only partition it across objects, so the ledger
-    /// conserves against the counters by construction. In debug builds the
-    /// parts are asserted to sum to the batch exactly.
+    /// Finish a batch: remove its flow and charge it — the machine
+    /// instruments once from the whole batch, the attribution ledger from
+    /// `parts`, which partition the batch across the objects that caused it
+    /// (asserted exact in debug builds).
     pub fn finish_access_attributed(
         &mut self,
         now: SimTime,
@@ -268,15 +253,36 @@ impl MemorySystem {
         batch: &AccessBatch,
         parts: &[(ObjectId, AccessBatch)],
     ) {
+        if !batch.is_empty() {
+            self.resources[tier.index()].remove_flow(now, flow);
+        }
+        self.charge(now, tier, batch, parts);
+    }
+
+    /// The one place traffic reaches the instruments: counters, windows,
+    /// energy and wear from the whole batch, then the ledger part by part.
+    /// Every charge carries its parts, so the ledger and the windows
+    /// conserve against the counters by construction — there is no way to
+    /// move one without the others.
+    fn charge(
+        &mut self,
+        now: SimTime,
+        tier: TierId,
+        batch: &AccessBatch,
+        parts: &[(ObjectId, AccessBatch)],
+    ) {
         debug_assert_eq!(
             parts.iter().map(|&(_, b)| b).sum::<AccessBatch>(),
             *batch,
             "attributed parts must partition the batch exactly"
         );
-        self.finish_access(now, tier, flow, batch);
-        let params = self.params[tier.index()].clone();
-        for &(object, part) in parts {
-            self.ledger.record(now, tier, object, &part, &params);
+        let params = &self.params[tier.index()];
+        self.counters.record(tier, batch);
+        self.windows.record(now, tier, batch, params);
+        self.energy.record(tier, params, batch);
+        self.wear.record(tier, batch);
+        for (object, part) in parts {
+            self.ledger.record(now, tier, *object, part, params);
         }
     }
 
@@ -296,26 +302,11 @@ impl MemorySystem {
         self.ledger.report(&self.params)
     }
 
-    /// Abort a batch mid-flight (e.g. task failure), charging only the
-    /// fraction already served.
-    pub fn cancel_access(&mut self, now: SimTime, tier: TierId, flow: FlowId, batch: &AccessBatch) {
-        if batch.is_empty() {
-            return;
-        }
-        let partial = self.remove_partial(now, tier, flow, batch);
-        self.counters.record(tier, &partial);
-        self.windows
-            .record(now, tier, &partial, &self.params[tier.index()]);
-        self.energy
-            .record(tier, &self.params[tier.index()].clone(), &partial);
-        self.wear.record(tier, &partial);
-    }
-
-    /// Like [`cancel_access`](Self::cancel_access), but the served fraction
-    /// is also charged to the attribution ledger under `object`, so killed
-    /// flows keep the ledger conserving against the counters in exact
-    /// integers. Returns the partial batch that was charged (empty when
-    /// nothing had been served, or the batch itself was empty).
+    /// Abort a batch mid-flight (e.g. task failure): the fraction already
+    /// served is charged like a finished batch, attributed to `object`, so
+    /// killed flows keep the ledger conserving against the counters in
+    /// exact integers. Returns the partial batch that was charged (empty
+    /// when nothing had been served, or the batch itself was empty).
     pub fn cancel_access_attributed(
         &mut self,
         now: SimTime,
@@ -328,12 +319,7 @@ impl MemorySystem {
             return AccessBatch::default();
         }
         let partial = self.remove_partial(now, tier, flow, batch);
-        self.counters.record(tier, &partial);
-        let params = self.params[tier.index()].clone();
-        self.windows.record(now, tier, &partial, &params);
-        self.energy.record(tier, &params, &partial);
-        self.wear.record(tier, &partial);
-        self.ledger.record(now, tier, object, &partial, &params);
+        self.charge(now, tier, &partial, &[(object, partial)]);
         partial
     }
 
@@ -497,6 +483,11 @@ mod tests {
         MemorySystem::paper_default()
     }
 
+    /// Retire `batch` whole, as one `Scratch` part.
+    fn finish(s: &mut MemorySystem, now: SimTime, tier: TierId, flow: FlowId, batch: &AccessBatch) {
+        s.finish_access_attributed(now, tier, flow, batch, &[(ObjectId::Scratch, *batch)]);
+    }
+
     #[test]
     fn nominal_time_orders_tiers() {
         let s = sys();
@@ -547,7 +538,7 @@ mod tests {
         let (t, tier, flow) = s.next_completion().unwrap();
         assert_eq!((tier, flow), (TierId::NVM_NEAR, 1));
         s.advance(t);
-        s.finish_access(t, TierId::NVM_NEAR, 1, &batch);
+        finish(&mut s, t, TierId::NVM_NEAR, 1, &batch);
         let snap = s.counters();
         assert_eq!(snap.tier(TierId::NVM_NEAR).bytes_read, 4096);
         assert_eq!(snap.tier(TierId::NVM_NEAR).bytes_written, 4096);
@@ -558,7 +549,13 @@ mod tests {
     fn empty_batch_completes_inline() {
         let mut s = sys();
         assert!(!s.begin_access(SimTime::ZERO, TierId::LOCAL_DRAM, 1, &AccessBatch::EMPTY));
-        s.finish_access(SimTime::ZERO, TierId::LOCAL_DRAM, 1, &AccessBatch::EMPTY);
+        finish(
+            &mut s,
+            SimTime::ZERO,
+            TierId::LOCAL_DRAM,
+            1,
+            &AccessBatch::EMPTY,
+        );
         assert!(s.next_completion().is_none());
     }
 
@@ -616,7 +613,7 @@ mod tests {
         // Cancel halfway through.
         let half = SimTime::from_ps(nominal.as_ps() / 2);
         s.advance(half);
-        s.cancel_access(half, TierId::LOCAL_DRAM, 1, &batch);
+        s.cancel_access_attributed(half, TierId::LOCAL_DRAM, 1, &batch, ObjectId::Scratch);
         let read = s.counters().tier(TierId::LOCAL_DRAM).bytes_read;
         let frac = read as f64 / (1 << 20) as f64;
         assert!((frac - 0.5).abs() < 0.01, "expected ~half charged: {frac}");
@@ -629,7 +626,7 @@ mod tests {
         s.begin_access(SimTime::ZERO, TierId::NVM_NEAR, 1, &batch);
         let (t, _, _) = s.next_completion().unwrap();
         s.advance(t);
-        s.finish_access(t, TierId::NVM_NEAR, 1, &batch);
+        finish(&mut s, t, TierId::NVM_NEAR, 1, &batch);
         let telemetry = s.finish_run(t);
         assert!(telemetry.energy.tier(TierId::NVM_NEAR).dynamic_j > 0.0);
         assert!(telemetry
@@ -648,7 +645,7 @@ mod tests {
         s.begin_access(SimTime::ZERO, TierId::NVM_NEAR, 1, &batch);
         let (t, _, _) = s.next_completion().unwrap();
         s.advance(t);
-        s.finish_access(t, TierId::NVM_NEAR, 1, &batch);
+        finish(&mut s, t, TierId::NVM_NEAR, 1, &batch);
         let telemetry = s.finish_run(t);
         let series = &telemetry.counter_series;
         assert!(!series.is_empty());
@@ -702,7 +699,7 @@ mod tests {
         s.begin_access(SimTime::ZERO, TierId::LOCAL_DRAM, 1, &batch);
         let (t, _, _) = s.next_completion().unwrap();
         s.advance(t);
-        s.finish_access(t, TierId::LOCAL_DRAM, 1, &batch);
+        finish(&mut s, t, TierId::LOCAL_DRAM, 1, &batch);
         assert!(s.counter_samples().is_empty());
         assert!(s.finish_run(t).counter_series.is_empty());
     }

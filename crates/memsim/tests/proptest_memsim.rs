@@ -2,10 +2,15 @@
 
 use memtier_des::SimTime;
 use memtier_memsim::{
-    AccessBatch, MemSimConfig, MemorySystem, TierCounters, TierId, TierParams, WindowRollup,
-    MAX_WINDOWS, NUM_TIERS,
+    AccessBatch, MemSimConfig, MemorySystem, ObjectId, TierCounters, TierId, TierParams,
+    WindowRollup, MAX_WINDOWS, NUM_TIERS,
 };
 use proptest::prelude::*;
+
+/// Retire `batch` whole, as one `Scratch` part.
+fn finish(sys: &mut MemorySystem, now: SimTime, tier: TierId, flow: u64, batch: &AccessBatch) {
+    sys.finish_access_attributed(now, tier, flow, batch, &[(ObjectId::Scratch, *batch)]);
+}
 
 fn arb_batch() -> impl Strategy<Value = AccessBatch> {
     (0u64..10_000, 0u64..10_000, 0u64..5_000, 0u64..5_000).prop_map(|(sr, sw, rr, rw)| {
@@ -81,9 +86,9 @@ proptest! {
         sys.begin_access(SimTime::ZERO, TierId::NVM_NEAR, 1, &batch);
         if let Some((t, tier, flow)) = sys.next_completion() {
             sys.advance(t);
-            sys.finish_access(t, tier, flow, &batch);
+            finish(&mut sys, t, tier, flow, &batch);
         } else {
-            sys.finish_access(SimTime::ZERO, TierId::NVM_NEAR, 1, &batch);
+            finish(&mut sys, SimTime::ZERO, TierId::NVM_NEAR, 1, &batch);
         }
         let snap = sys.counters().tier(TierId::NVM_NEAR);
         prop_assert_eq!(snap.reads, batch.reads);
@@ -147,7 +152,7 @@ proptest! {
         if let Some((t, tier, flow)) = sys.next_completion() {
             let cut = SimTime::from_ps((t.as_ps() as f64 * cancel_frac) as u64);
             sys.advance(cut);
-            sys.cancel_access(cut, tier, flow, &batch);
+            sys.cancel_access_attributed(cut, tier, flow, &batch, ObjectId::Recovery);
             now = cut;
         }
         // A later completed access on another tier must coexist with the
@@ -156,10 +161,56 @@ proptest! {
             sys.begin_access(now, TierId::LOCAL_DRAM, 2, &followup);
             if let Some((t, tier, flow)) = sys.next_completion() {
                 sys.advance(t);
-                sys.finish_access(t, tier, flow, &followup);
+                finish(&mut sys, t, tier, flow, &followup);
             }
         }
         prop_assert!(sys.windows().conserves(&sys.counters()));
+    }
+
+    /// Every charge reaches the counters, the windows and the ledger through
+    /// one funnel, so all three agree after any interleaving of begin,
+    /// finish (split across two objects) and mid-flight cancel, on any
+    /// tiers, with flows overlapping.
+    #[test]
+    fn ledger_and_windows_conserve_under_any_interleaving(
+        ops in proptest::collection::vec(
+            (0usize..NUM_TIERS, arb_batch(), arb_batch(), 0u8..3, 0.0f64..=1.0),
+            1..40,
+        ),
+    ) {
+        let mut sys = MemorySystem::new(MemSimConfig::paper_default());
+        let mut now = SimTime::ZERO;
+        let mut open: Vec<(TierId, u64, AccessBatch, AccessBatch)> = Vec::new();
+        for (flow, (tier_idx, a, b, action, frac)) in ops.into_iter().enumerate() {
+            let tier = TierId::from_index(tier_idx);
+            sys.begin_access(now, tier, flow as u64, &(a + b));
+            open.push((tier, flow as u64, a, b));
+            // 0: leave it in flight; 1: retire the oldest open flow at the
+            // next completion instant; 2: cancel it part-way there.
+            if action == 0 {
+                continue;
+            }
+            let (tier, flow, a, b) = open.remove(0);
+            let next = sys.next_completion().map_or(now, |(t, _, _)| t);
+            if action == 1 {
+                now = next;
+                sys.advance(now);
+                let parts = [(ObjectId::Input { rdd: 0 }, a), (ObjectId::Scratch, b)];
+                sys.finish_access_attributed(now, tier, flow, &(a + b), &parts);
+            } else {
+                now += SimTime::from_ps(((next - now).as_ps() as f64 * frac) as u64);
+                sys.advance(now);
+                sys.cancel_access_attributed(now, tier, flow, &(a + b), ObjectId::Recovery);
+            }
+            prop_assert!(sys.ledger().conserves(&sys.counters()));
+        }
+        for (tier, flow, a, b) in open {
+            sys.cancel_access_attributed(now, tier, flow, &(a + b), ObjectId::Recovery);
+        }
+        prop_assert!(sys.ledger().conserves(&sys.counters()));
+        prop_assert!(sys.windows().conserves(&sys.counters()));
+        let telemetry = sys.finish_run(now);
+        prop_assert!(telemetry.hotness.conserves(&telemetry.counters));
     }
 }
 

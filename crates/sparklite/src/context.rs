@@ -1,5 +1,6 @@
 //! The `SparkContext`: application entry point and job driver.
 
+use crate::audit::{AuditError, RunView};
 use crate::config::{PlacementMode, SparkConf};
 use crate::cost::OpCost;
 use crate::doctor::{diagnose, DoctorInputs, DoctorReport};
@@ -87,6 +88,25 @@ pub struct RunReport {
     /// function of (workload, config, seed), while this block contains
     /// host-dependent wall-clock measurements.
     pub engine: Option<EngineStats>,
+}
+
+impl RunReport {
+    /// Hold the run to every conservation identity it owes
+    /// ([`crate::audit`]); the error names the first that fails.
+    pub fn audit(&self) -> std::result::Result<(), AuditError> {
+        RunView {
+            elapsed: self.elapsed,
+            counters: &self.telemetry.counters,
+            profile: &self.profile,
+            hotness: &self.hotness,
+            migrations: &self.migrations,
+            recovery: &self.recovery,
+            digest: &self.digest,
+            doctor: &self.doctor,
+            network: &self.network,
+        }
+        .audit()
+    }
 }
 
 struct Inner {
@@ -481,10 +501,6 @@ impl SparkContext {
             let cache = self.inner.runtime.cache.stats();
             let params = TierId::all().map(|t| st.mem.tier_params(t).clone());
             let total_cores: u64 = self.inner.executors.iter().map(|e| e.cores as u64).sum();
-            assert!(
-                st.net.conserves(),
-                "per-link byte counters must re-sum from completed transfers"
-            );
             let network = st.net.report();
             let doctor = diagnose(&DoctorInputs {
                 elapsed,
@@ -501,7 +517,7 @@ impl SparkContext {
                 waste_spans: &st.faults.waste_spans,
                 object_series: st.mem.object_series(),
                 network: network.clone(),
-                net_records: &st.net.records,
+                net: &st.net,
             });
             RunReport {
                 elapsed,
@@ -524,6 +540,7 @@ impl SparkContext {
         // Snapshot after the Serialization scope closes so report assembly
         // is included in the phase attribution.
         report.engine = prof.snapshot(elapsed.as_secs_f64());
+        debug_assert_eq!(report.audit(), Ok(()));
         report
     }
 

@@ -182,7 +182,7 @@ pub fn build_digest(
             SegmentKind::Driver => unreachable!("driver segments carry no task"),
         }
     }
-    let digest = RunDigest {
+    RunDigest {
         elapsed: profile.elapsed,
         phases: profile.attribution,
         stages: stages
@@ -201,12 +201,7 @@ pub fn build_digest(
             .collect(),
         migration,
         recovery,
-    };
-    debug_assert!(
-        digest.conserves(),
-        "digest must inherit the profile's conservation"
-    );
-    digest
+    }
 }
 
 /// Signed picosecond difference of two instants (`candidate − baseline`).

@@ -64,6 +64,7 @@
 #![allow(clippy::type_complexity)]
 
 pub mod accumulator;
+pub mod audit;
 pub mod broadcast;
 pub mod config;
 pub mod context;
@@ -85,6 +86,7 @@ pub mod storage;
 pub mod trace;
 
 pub use accumulator::Accumulator;
+pub use audit::{AuditError, RunView};
 pub use broadcast::Broadcast;
 pub use config::{ExecutorPlacement, PlacementMode, SparkConf};
 pub use context::SparkContext;

@@ -138,7 +138,8 @@ pub struct JobRecord {
     pub job: u64,
     /// Submission instant.
     pub submitted: SimTime,
-    /// Completion instant (the last task's end).
+    /// Completion instant: the last task's end, or later when background
+    /// migration copies were still draining then.
     pub completed: SimTime,
 }
 
@@ -169,7 +170,10 @@ pub enum SegmentKind {
     /// Scheduler queue delay: the gap between a path task's stage becoming
     /// runnable and the task's dispatch.
     Queue,
-    /// Driver-side time outside any job (setup, inter-job work, teardown).
+    /// Driver-side time outside any task chain: setup, inter-job work,
+    /// teardown — and a job's post-task drain, the wait between its last
+    /// task's end and its completion while background migration copies
+    /// finish.
     Driver,
 }
 
@@ -207,7 +211,8 @@ pub struct Attribution {
     pub shuffle_fetch: SimTime,
     /// Scheduler queue delay ahead of path tasks.
     pub sched_queue: SimTime,
-    /// Driver-side time outside any job.
+    /// Driver-side time outside any job, plus each job's post-task drain
+    /// (see [`SegmentKind::Driver`]).
     pub driver: SimTime,
     /// Per-tier read-stall time of path tasks.
     pub mem_read: [SimTime; NUM_TIERS],
@@ -321,6 +326,22 @@ impl RunProfile {
     pub fn conserves(&self) -> bool {
         self.attribution.total() == self.elapsed
     }
+
+    /// Extend the path with a driver segment from its current end to `end`
+    /// (nothing when the path already reaches it).
+    fn driver_until(&mut self, end: SimTime) {
+        let start = self.segments.last().map_or(SimTime::ZERO, |s| s.end);
+        if end > start {
+            self.attribution.driver += end - start;
+            self.segments.push(PathSegment {
+                kind: SegmentKind::Driver,
+                start,
+                end,
+                job: None,
+                task_id: None,
+            });
+        }
+    }
 }
 
 /// Extract the critical path from a [`ProfileLog`] and roll it up into a
@@ -333,25 +354,17 @@ impl RunProfile {
 /// task whose completion made the stage runnable — which ended exactly when
 /// the stage was submitted — until reaching a stage that was runnable at
 /// job submission. Gaps between jobs (and before the first / after the
-/// last) are driver segments.
+/// last) are driver segments, and so is the tail of a job that stays open
+/// after its last task while migration copies drain.
 pub fn build_profile(log: &ProfileLog, elapsed: SimTime) -> RunProfile {
-    let mut attribution = Attribution::default();
-    let mut segments: Vec<PathSegment> = Vec::new();
-    let mut cursor = SimTime::ZERO;
-
+    let mut profile = RunProfile {
+        elapsed,
+        ..RunProfile::default()
+    };
     let mut jobs: Vec<&JobRecord> = log.jobs.iter().collect();
     jobs.sort_by_key(|j| (j.submitted, j.job));
     for jr in jobs {
-        if jr.submitted > cursor {
-            attribution.driver += jr.submitted - cursor;
-            segments.push(PathSegment {
-                kind: SegmentKind::Driver,
-                start: cursor,
-                end: jr.submitted,
-                job: None,
-                task_id: None,
-            });
-        }
+        profile.driver_until(jr.submitted);
         // Backward walk over activation edges.
         let mut chain: Vec<&TaskRecord> = Vec::new();
         let mut cur = log
@@ -378,8 +391,8 @@ pub fn build_profile(log: &ProfileLog, elapsed: SimTime) -> RunProfile {
                 .find(|s| s.job == t.job && s.stage == t.stage)
                 .expect("stage record checked above");
             if t.started > stage.submitted {
-                attribution.sched_queue += t.started - stage.submitted;
-                segments.push(PathSegment {
+                profile.attribution.sched_queue += t.started - stage.submitted;
+                profile.segments.push(PathSegment {
                     kind: SegmentKind::Queue,
                     start: stage.submitted,
                     end: t.started,
@@ -387,8 +400,8 @@ pub fn build_profile(log: &ProfileLog, elapsed: SimTime) -> RunProfile {
                     task_id: Some(t.task_id),
                 });
             }
-            attribution.add_breakdown(&t.breakdown);
-            segments.push(PathSegment {
+            profile.attribution.add_breakdown(&t.breakdown);
+            profile.segments.push(PathSegment {
                 kind: SegmentKind::Task,
                 start: t.started,
                 end: t.end,
@@ -396,23 +409,12 @@ pub fn build_profile(log: &ProfileLog, elapsed: SimTime) -> RunProfile {
                 task_id: Some(t.task_id),
             });
         }
-        cursor = jr.completed;
+        // The job's post-task drain, when migration copies outlive its
+        // last task.
+        profile.driver_until(jr.completed);
     }
-    if elapsed > cursor {
-        attribution.driver += elapsed - cursor;
-        segments.push(PathSegment {
-            kind: SegmentKind::Driver,
-            start: cursor,
-            end: elapsed,
-            job: None,
-            task_id: None,
-        });
-    }
-    RunProfile {
-        elapsed,
-        attribution,
-        segments,
-    }
+    profile.driver_until(elapsed);
+    profile
 }
 
 /// Per-tier latency scale factors for analytical repricing: the ratio of

@@ -28,12 +28,10 @@ fn main() {
     let report = sc.finish();
 
     // The rollup the timeline is built from: always on, windowed at charge
-    // time, and conserving against the machine counters in exact integers.
+    // time, and conserving against the machine counters in exact integers —
+    // one of the identities the run's audit holds it to.
     let rollup = sc.window_rollup();
-    assert!(
-        rollup.conserves(&report.telemetry.counters),
-        "windowed rollup must re-sum to the run's counters"
-    );
+    report.audit().expect("the run conserves");
 
     let doctor = &report.doctor;
     let idx = TierId::NVM_NEAR.index();
